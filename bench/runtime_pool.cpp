@@ -4,22 +4,73 @@
 // The serving workload the ROADMAP targets is "the same Gram matrix shape,
 // over and over": per-call thread creation and per-task workspace mallocs
 // are pure overhead there. This bench runs the identical AtA-S schedule
-// through both Executor engines and reports per-call latency plus the
-// pool's workspace-growth counters — after the warm-up call the pool must
-// perform zero slab allocations (the "no malloc on the steady-state hot
-// path" acceptance check prints at the bottom).
+// through the library's ThreadPool and through the fork-join comparator
+// defined below, and reports per-call latency plus the pool's
+// workspace-growth counters — after the warm-up call the pool must perform
+// zero slab allocations (the "no malloc on the steady-state hot path"
+// acceptance check prints at the bottom).
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "matrix/matrix.hpp"
 #include "parallel/ata_shared.hpp"
 #include "runtime/thread_pool.hpp"
 
+#ifdef ATALIB_HAVE_OPENMP
+#include <omp.h>
+#endif
+
 namespace {
 
 using namespace atalib;
+
+/// The paper's original execution scheme: fork threads, run the parallel
+/// for, join. Nothing survives between calls except the per-slot
+/// workspaces, kept so the A/B isolates thread management rather than
+/// allocator behavior. OpenMP when compiled in, a serial loop otherwise.
+/// Serves one client thread; placement hints are ignored.
+class ForkJoinExecutor final : public runtime::Executor {
+ public:
+  explicit ForkJoinExecutor(int threads)
+      : slots_(static_cast<std::size_t>(std::max(1, threads))) {}
+
+  int concurrency() const override { return static_cast<int>(slots_.size()); }
+#ifdef ATALIB_HAVE_OPENMP
+  const char* name() const override { return "forkjoin-omp"; }
+#else
+  const char* name() const override { return "forkjoin-serial"; }
+#endif
+
+  void run(int ntasks, const runtime::TaskFn& fn, int width = 0,
+           const runtime::NodeHintFn& /*preferred_node*/ = {}) override {
+    int nthreads = std::min(concurrency(), ntasks);
+    if (width > 0) nthreads = std::min(nthreads, width);
+#ifdef ATALIB_HAVE_OPENMP
+#pragma omp parallel num_threads(nthreads) if (nthreads > 1)
+    {
+      const int slot = omp_get_thread_num();
+      runtime::TaskContext ctx{slot, &slots_[static_cast<std::size_t>(slot)]};
+#pragma omp for schedule(static)
+      for (int t = 0; t < ntasks; ++t) fn(t, ctx);
+    }
+#else
+    (void)nthreads;
+    runtime::TaskContext ctx{0, &slots_[0]};
+    for (int t = 0; t < ntasks; ++t) fn(t, ctx);
+#endif
+  }
+
+  void warm_workspaces(std::size_t float_elems, std::size_t double_elems) override {
+    for (auto& slot : slots_) slot.warm(float_elems, double_elems);
+  }
+
+ private:
+  std::vector<runtime::Workspace> slots_;
+};
 
 std::size_t pool_grows(runtime::ThreadPool& pool) {
   std::size_t total = 0;
@@ -79,7 +130,7 @@ int main(int argc, char** argv) {
   opts.recurse = bench::recurse_from_flags(flags);
 
   runtime::ThreadPool pool(threads);
-  runtime::ForkJoinExecutor forkjoin(threads);
+  ForkJoinExecutor forkjoin(threads);
 
   auto call_with = [&](runtime::Executor& exec) {
     opts.executor = &exec;

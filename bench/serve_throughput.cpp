@@ -18,8 +18,8 @@
 //                 stream must show ZERO schedule builds, ZERO workspace
 //                 slab allocations, ZERO thread-local pack allocations and
 //                 ZERO plan-cache misses (hard-checked; nonzero exit).
-//   tall_skinny — one m >> n shape served by the forced panel-SYRK plan
-//                 vs the forced recursive plan, plus what the auto planner
+//   tall_skinny — one m >> n shape served by the forced kBlas plan vs
+//                 the forced recursive plan, plus what the auto planner
 //                 picked for it.
 //
 // A final phase exercises PR 10's overload control (DESIGN.md §10):
@@ -353,8 +353,8 @@ int main(int argc, char** argv) {
     btable.print();
   }
 
-  // --- Phase 5: tall-skinny planner — forced panel-SYRK vs forced
-  // recursive on one m >> n shape, plus the auto planner's own choice.
+  // --- Phase 5: tall-skinny planner — forced kBlas vs forced recursive on
+  // one m >> n shape, plus the auto planner's own choice.
   {
     const Shape ts{bench::scaled(16384, scale), bench::scaled(64, scale)};
     const auto a = random_uniform<double>(ts.m, ts.n, 7);
@@ -370,7 +370,7 @@ int main(int argc, char** argv) {
       SharedOptions topts = sopts;
       topts.tall_skinny_ratio = ratio;
       const auto key = api::shared_plan_key(api::dtype_of<double>(), ts.m, ts.n, topts);
-      const char* engine = key.engine == LeafEngine::kPanelSyrk ? "panel_syrk" : "strassen";
+      const char* engine = key.engine == LeafEngine::kBlas ? "blas" : "strassen";
       tserver.submit(1.0, a.const_view(), c.view(), topts).get();  // cold
       double secs = 0.0;
       for (int rep = 0; rep < kTimedReps; ++rep) {
@@ -395,7 +395,7 @@ int main(int argc, char** argv) {
           .num("pool_threads", threads);
       json.add(rec);
     };
-    time_plan("forced_panel", 2);
+    time_plan("forced_blas", 2);
     time_plan("forced_recursive", -1);
     time_plan("auto", 0);
     ttable.print();

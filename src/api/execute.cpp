@@ -9,6 +9,7 @@
 #include "dist/block_io.hpp"
 #include "dist/harness.hpp"
 #include "parallel/leaf_exec.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace atalib::api {
 namespace {
@@ -174,28 +175,25 @@ template <typename T>
 void execute(const AtaPlan& plan, T alpha, ConstMatrixView<T> a, MatrixView<T> c,
              runtime::Executor* executor) {
   check_shared(plan, a, c);
-  runtime::Executor& exec = executor ? *executor : runtime::default_executor();
+  runtime::Executor& exec = executor ? *executor : runtime::ThreadPool::global();
   const int ntasks = static_cast<int>(plan.schedule().tasks.size());
   // A one-task or width-1 batch executes inline/serial on one workspace
   // that grows monotonically on first use — pre-growing every pool slot
   // for it would pin slots-many full-size slabs that never see a task.
   if (ntasks > 1 && plan.key().p > 1) warm_for(plan, exec);
-  // Width p caps the fork-join engine at the planned thread count; the
-  // pool treats it as advisory (see Executor::run) — its idle workers may
-  // still steal, which is always safe on write-disjoint tasks.
+  // Width p is the planned thread count; the pool treats it as advisory
+  // (see Executor::run) — its idle workers may still steal, which is
+  // always safe on write-disjoint tasks.
   auto body = [&](int t, runtime::TaskContext& ctx) {
     run_plan_task(plan, t, alpha, a, c, ctx);
   };
+  // Pin the plan's write-disjoint C stripes to nodes round-robin so each
+  // stripe's packed panels and output pages stay node-local; flat
+  // executors skip the hint machinery entirely.
   const int nnodes = exec.numa_nodes();
-  if (nnodes > 1) {
-    // Pin the plan's write-disjoint C stripes to nodes round-robin so each
-    // stripe's packed panels and output pages stay node-local; flat
-    // executors skip the hint machinery entirely.
-    exec.run_placed(ntasks, body, plan.key().p,
-                    [&plan, nnodes](int t) { return plan.preferred_node(t, nnodes); });
-  } else {
-    exec.run(ntasks, body, plan.key().p);
-  }
+  runtime::NodeHintFn hint;
+  if (nnodes > 1) hint = [&plan, nnodes](int t) { return plan.preferred_node(t, nnodes); };
+  exec.run(ntasks, body, plan.key().p, hint);
 }
 
 template <typename T>
@@ -205,9 +203,9 @@ SharedProfile execute_profile(const AtaPlan& plan, T alpha, ConstMatrixView<T> a
   runtime::Workspace workspace;  // one reusable arena across all timed tasks
   SharedProfile profile;
   const auto& tasks = plan.schedule().tasks;
-  // Report where the placement hints would home each task on the default
-  // executor's topology (profiling itself runs serially regardless).
-  const int nnodes = std::max(1, runtime::default_executor().numa_nodes());
+  // Report where the placement hints would home each task on the global
+  // pool's topology (profiling itself runs serially regardless).
+  const int nnodes = std::max(1, runtime::ThreadPool::global().numa_nodes());
   profile.tasks_per_node.assign(static_cast<std::size_t>(nnodes), 0);
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     ++profile.tasks_per_node[static_cast<std::size_t>(

@@ -23,7 +23,7 @@ namespace atalib::api {
 /// lower(C) += alpha * A^T A over a shared-mode plan. A must be the
 /// plan's m x n shape (C n x n) and T its dtype; throws
 /// std::invalid_argument otherwise. `executor` null uses
-/// runtime::default_executor().
+/// runtime::ThreadPool::global().
 template <typename T>
 void execute(const AtaPlan& plan, T alpha, ConstMatrixView<T> a, MatrixView<T> c,
              runtime::Executor* executor = nullptr);

@@ -39,7 +39,6 @@ std::size_t PlanKeyHash::operator()(const PlanKey& k) const noexcept {
   hash_combine(seed, static_cast<std::size_t>(k.engine));
   hash_combine(seed, static_cast<std::size_t>(k.base_case_elements));
   hash_combine(seed, static_cast<std::size_t>(k.min_dim));
-  hash_combine(seed, static_cast<std::size_t>(k.tall_skinny_ratio));
   return seed;
 }
 
@@ -59,23 +58,22 @@ PlanKey shared_plan_key(Dtype dtype, index_t m, index_t n, const SharedOptions& 
   key.base_case_elements =
       opts.recurse.resolved_base_elements(dtype == Dtype::kF32 ? sizeof(float) : sizeof(double));
   key.min_dim = opts.recurse.min_dim;
-  key.tall_skinny_ratio = opts.tall_skinny_ratio;
   // Shape-aware engine choice: a kStrassen request whose m/n reaches the
-  // tall-skinny crossover is served by the blocked panel-SYRK engine
-  // instead of the recursion. The tuner is consulted *lazily* — only for
-  // shapes the panel engine could possibly win (m >= 2n, the smallest
-  // crossover the ladder can report) — so square-ish traffic never pays
-  // the measurement, and the resolved ratio lands in the key like the
-  // base-case cut-off does. tall_skinny_ratio: 0 = auto (tuner), > 0 =
-  // forced threshold (clamped to the m >= 2n floor), -1 = recursion only.
+  // tall-skinny crossover is served by the blocked kBlas kernels instead of
+  // the recursion. The tuner is consulted *lazily* — only for shapes kBlas
+  // could possibly win (m >= 2n, the smallest crossover the ladder can
+  // report) — so square-ish traffic never pays the measurement. The
+  // resolved engine is part of the key, so two processes with different
+  // tuning outcomes never share a plan. tall_skinny_ratio: 0 = auto
+  // (tuner), > 0 = forced threshold (clamped to the m >= 2n floor), -1 =
+  // recursion only.
   if (opts.engine == LeafEngine::kStrassen && opts.tall_skinny_ratio >= 0 && n > 0 &&
       m >= 2 * n) {
     index_t ratio = opts.tall_skinny_ratio;
     if (ratio == 0) {
       ratio = tuned_tall_skinny_ratio(dtype == Dtype::kF32 ? sizeof(float) : sizeof(double));
     }
-    key.tall_skinny_ratio = ratio;
-    if (m >= ratio * n) key.engine = LeafEngine::kPanelSyrk;
+    if (m >= ratio * n) key.engine = LeafEngine::kBlas;
   }
   return key;
 }

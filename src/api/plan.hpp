@@ -48,17 +48,11 @@ struct PlanKey {
   int oversub = 1;         ///< shared only; always 1 for dist plans
   double lb_alpha = 0.0;   ///< dist only (§4.1.2); always 0 for shared plans
   /// *Resolved* leaf engine: what the shape-aware planner chose, not what
-  /// the caller asked for. shared_plan_key turns kStrassen into kPanelSyrk
-  /// when m/n reaches the tall-skinny crossover (DESIGN.md §8).
+  /// the caller asked for. shared_plan_key turns kStrassen into kBlas when
+  /// m/n reaches the tall-skinny crossover (DESIGN.md §8).
   LeafEngine engine = LeafEngine::kStrassen;
   index_t base_case_elements = 0;  ///< *resolved* cut-off (auto -> tuner value)
   index_t min_dim = 8;
-  /// *Resolved* tall-skinny crossover the engine decision was made with
-  /// (auto -> tuner value for shapes the panel engine could serve; the raw
-  /// option otherwise). Part of the key for the same reason as the
-  /// base-case cut-off: two processes with different tuning outcomes must
-  /// not share a plan whose engine assumed the other crossover.
-  index_t tall_skinny_ratio = 0;
 
   bool operator==(const PlanKey&) const = default;
 
@@ -108,8 +102,8 @@ class AtaPlan {
   /// `nnodes` nodes: plain round-robin over the write-disjoint C stripes.
   /// Computed against the executor at execute time rather than stored,
   /// because plans are cached by *shape* — one plan may serve executors
-  /// with different topologies (real pool, fake-topology pool, fork-join)
-  /// within a process. Deterministic, so per-node scheduled counts are a
+  /// with different topologies (real pool, fake-topology pool) within a
+  /// process. Deterministic, so per-node scheduled counts are a
   /// test oracle (tests/test_numa.cpp).
   int preferred_node(int task, int nnodes) const {
     return nnodes > 1 ? task % nnodes : 0;

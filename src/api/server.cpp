@@ -480,7 +480,7 @@ std::vector<std::future<void>> Server::submit_batch(std::span<const AtaRequest<T
 
   const int nchunks = static_cast<int>(state->chunks.size());
   const int nnodes = pool_.numa_nodes();
-  runtime::ThreadPool::SubmitOptions pool_opts;
+  runtime::SubmitOptions pool_opts;
   pool_opts.priority = batch_priority;
   if (nnodes > 1) {
     // Round-robin *chunks* over nodes (small single-task requests are

@@ -6,7 +6,7 @@
 
 #include "blas/gemm.hpp"
 #include "blas/syrk.hpp"
-#include "runtime/executor.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace atalib::blas::par {
 
@@ -33,7 +33,7 @@ void gemm_tn(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, MatrixView<T> 
 
 template <typename T>
 void gemm_tn(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, MatrixView<T> c, int threads) {
-  gemm_tn(alpha, a, b, c, threads, runtime::default_executor());
+  gemm_tn(alpha, a, b, c, threads, runtime::ThreadPool::global());
 }
 
 template <typename T>
@@ -78,7 +78,7 @@ void syrk_ln(T alpha, ConstMatrixView<T> a, MatrixView<T> c, int threads,
 
 template <typename T>
 void syrk_ln(T alpha, ConstMatrixView<T> a, MatrixView<T> c, int threads) {
-  syrk_ln(alpha, a, c, threads, runtime::default_executor());
+  syrk_ln(alpha, a, c, threads, runtime::ThreadPool::global());
 }
 
 #define ATALIB_BLAS_PAR_INSTANTIATE(T)                                                   \

@@ -5,8 +5,8 @@
 // is over disjoint output stripes — each stripe is one runtime task running
 // the serial blocked kernel on its own C region, so no synchronization is
 // needed beyond batch completion, mirroring how AtA-S parallelizes its own
-// work. Stripes run on the persistent work-stealing pool by default; pass
-// an explicit Executor (e.g. runtime::ForkJoinExecutor) to A/B engines.
+// work. Stripes run on the global work-stealing pool unless the caller
+// passes an explicit Executor.
 
 #include "matrix/view.hpp"
 

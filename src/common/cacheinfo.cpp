@@ -97,16 +97,29 @@ NumaTopology single_node_fallback() {
   return topo;
 }
 
-std::optional<NumaTopology> probe_sysfs_topology() {
+/// First line of `path`, or nullopt when the file cannot be opened.
+std::optional<std::string> read_line(const std::string& path) {
+  std::ifstream f(path);
+  if (!f) return std::nullopt;
+  std::string line;
+  std::getline(f, line);
+  return line;
+}
+
+}  // namespace
+
+std::optional<NumaTopology> probe_sysfs_topology(const std::string& root) {
+  // Node ids are not necessarily dense: `online` lists the ones that exist,
+  // in the same range syntax as a cpulist.
+  const auto online = read_line(root + "/online");
+  if (!online) return std::nullopt;
+  const auto ids = parse_cpulist(*online);
+  if (!ids) return std::nullopt;
   NumaTopology topo;
-  // Node ids are not necessarily dense; scan a generous range.
-  for (int id = 0; id < 1024; ++id) {
-    const std::string path = "/sys/devices/system/node/node" + std::to_string(id) + "/cpulist";
-    std::ifstream f(path);
-    if (!f) continue;
-    std::string list;
-    std::getline(f, list);
-    auto cpus = parse_cpulist(list);
+  for (int id : *ids) {
+    const auto list = read_line(root + "/node" + std::to_string(id) + "/cpulist");
+    if (!list) continue;
+    auto cpus = parse_cpulist(*list);
     if (!cpus) continue;  // memory-only node (no CPUs): skip for scheduling
     NumaNode node;
     node.id = id;
@@ -116,8 +129,6 @@ std::optional<NumaTopology> probe_sysfs_topology() {
   if (topo.nodes.empty()) return std::nullopt;
   return topo;
 }
-
-}  // namespace
 
 int NumaTopology::total_cpus() const {
   int n = 0;
@@ -174,7 +185,7 @@ NumaTopology probe_numa_topology() {
     }
     return *fake;
   }
-  if (auto sysfs = probe_sysfs_topology()) return *sysfs;
+  if (auto sysfs = probe_sysfs_topology("/sys/devices/system/node")) return *sysfs;
   return single_node_fallback();
 }
 

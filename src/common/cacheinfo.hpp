@@ -63,11 +63,18 @@ struct NumaTopology {
 /// non-positive counts. Exposed for direct unit testing.
 std::optional<NumaTopology> parse_fake_numa(const std::string& spec);
 
+/// Read the NUMA topology from a Linux sysfs node directory (normally
+/// /sys/devices/system/node): the node ids listed in `<root>/online`, each
+/// with the CPUs in `<root>/node<id>/cpulist`. Memory-only nodes (empty
+/// cpulist) are skipped. Returns nullopt when `online` is missing or
+/// malformed or no listed node has CPUs. Exposed for direct unit testing.
+std::optional<NumaTopology> probe_sysfs_topology(const std::string& root);
+
 /// Discover the NUMA topology. Order of precedence:
 ///   1. ATALIB_FAKE_NUMA=<nodes>x<cpus> (throws std::invalid_argument on a
 ///      malformed value — a typo'd override must fail loudly, not silently
 ///      change placement),
-///   2. /sys/devices/system/node/node*/cpulist on Linux,
+///   2. probe_sysfs_topology("/sys/devices/system/node") on Linux,
 ///   3. a single node spanning hardware_concurrency CPUs.
 /// Reads the environment on every call (no process-wide cache) so tests and
 /// freshly constructed pools honor the current override.

@@ -20,8 +20,7 @@ namespace atalib::dist {
 /// Exclusive lease on the rank pool, sized to at least `ranks` slots.
 /// Distributed runs hold one for their whole communicator batch: slot
 /// workspaces are rank-exclusive only while a single run is in flight, so
-/// concurrent distributed calls from independent threads serialize here
-/// (the same discipline as ForkJoinExecutor's run mutex).
+/// concurrent distributed calls from independent threads serialize here.
 class RankPoolLease {
  public:
   explicit RankPoolLease(int ranks);

@@ -111,8 +111,8 @@ class Communicator {
   /// slot per rank; `exec.concurrency() >= size()` is required (throws
   /// std::logic_error otherwise) and only executors that run a
   /// <= concurrency() batch fully concurrently are safe — the persistent
-  /// ThreadPool qualifies (see DESIGN.md §3), the fork-join engine's
-  /// OpenMP static schedule does not.
+  /// ThreadPool qualifies (see DESIGN.md §3), an OpenMP fork-join with a
+  /// static schedule does not.
   void run_on(runtime::Executor& exec,
               const std::function<void(RankCtx&, runtime::TaskContext&)>& fn);
 

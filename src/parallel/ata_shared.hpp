@@ -5,13 +5,11 @@
 // disjoint C writes — from the process-wide plan cache (api/plan_cache.hpp;
 // built once per (dtype, m, n, P, oversub, engine, cut-offs) shape via
 // sched::build_shared_schedule). Phase 2 submits the
-// tasks to a runtime::Executor: by default the persistent work-stealing
-// thread pool (runtime/thread_pool.hpp), whose warm workers and reusable
-// per-worker workspace arenas make repeated calls thread-creation- and
-// malloc-free; alternatively the paper's original fork-join OpenMP scheme
-// (runtime::ForkJoinExecutor), kept behind the same interface for A/B
-// benchmarking. Disjoint writes mean no locks and no atomics on C either
-// way — the paper's "perfect parallelism".
+// tasks to a runtime::Executor, by default the process-wide persistent
+// work-stealing thread pool (runtime/thread_pool.hpp), whose warm workers
+// and reusable per-worker workspace arenas make repeated calls
+// thread-creation- and malloc-free. Disjoint writes mean no locks and no
+// atomics on C — the paper's "perfect parallelism".
 
 #include <chrono>
 #include <cstdint>
@@ -46,15 +44,14 @@ struct SharedOptions {
   using Engine = LeafEngine;
   Engine engine = Engine::kStrassen;
   /// Tall-skinny planner knob (only meaningful with engine == kStrassen):
-  /// when m/n reaches this ratio the plan is served by the blocked
-  /// panel-SYRK engine instead of the recursion (api::shared_plan_key).
-  /// 0 = auto — resolve the crossover through the measured tuner
+  /// when m/n reaches this ratio the plan is served by the kBlas engine
+  /// instead of the recursion (api::shared_plan_key). 0 = auto — resolve
+  /// the crossover through the measured tuner
   /// (strassen::Tuner::tall_skinny_ratio); > 0 = forced threshold (the
   /// planner floors it at 2 — below m = 2n the recursion always wins);
-  /// -1 = disable the panel fast path entirely (forced-recursive plans,
-  /// the bench/test control).
+  /// -1 = recursion only (forced-recursive plans, the bench/test control).
   index_t tall_skinny_ratio = 0;
-  /// Execution engine; null uses runtime::default_executor().
+  /// Execution engine; null uses runtime::ThreadPool::global().
   runtime::Executor* executor = nullptr;
   /// Serving-layer QoS (api::Server; DESIGN.md §10) — ignored by the
   /// direct ata_shared() call paths and deliberately NOT part of the plan
@@ -87,7 +84,7 @@ struct SharedProfile {
   double critical_path_seconds = 0;  ///< max over tasks
   double total_seconds = 0;          ///< sum over tasks (1-core wall time)
   /// Tasks the plan's round-robin placement homes on each NUMA node of the
-  /// default executor's topology (AtaPlan::preferred_node). One entry on
+  /// global pool's topology (AtaPlan::preferred_node). One entry on
   /// flat hosts; profiling itself stays serial either way.
   std::vector<std::uint64_t> tasks_per_node;
 };

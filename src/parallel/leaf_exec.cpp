@@ -2,7 +2,6 @@
 
 #include "ata/ata.hpp"
 #include "blas/gemm.hpp"
-#include "blas/panel_syrk.hpp"
 #include "blas/syrk.hpp"
 #include "strassen/strassen.hpp"
 #include "strassen/workspace.hpp"
@@ -16,16 +15,12 @@ void run_leaf_kernel(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, Matrix
   if (kind == sched::LeafOp::Kind::kSyrk) {
     if (engine == LeafEngine::kStrassen) {
       ata(alpha, a, c, arena, opts);
-    } else if (engine == LeafEngine::kPanelSyrk) {
-      blas::panel_syrk_ln(alpha, a, c, &arena);
     } else {
       blas::syrk_ln(alpha, a, c, &arena);
     }
   } else {
     if (engine == LeafEngine::kStrassen) {
       strassen_tn(alpha, a, b, c, arena, opts);
-    } else if (engine == LeafEngine::kPanelSyrk) {
-      blas::panel_gemm_tn(alpha, a, b, c, &arena);
     } else {
       blas::gemm_tn(alpha, a, b, c, &arena);
     }
@@ -36,10 +31,8 @@ template <typename T>
 index_t leaf_op_workspace(const sched::LeafOp& op, LeafEngine engine,
                           const RecurseOptions& opts) {
   if (engine != LeafEngine::kStrassen) {
-    // kBlas and kPanelSyrk leaves draw their packed panels from the caller
-    // arena, keeping the PR 3 warm path malloc-free on pool workers. The
-    // panel engine's full-m bound covers every row panel (pack extents are
-    // monotone in the contraction depth), so one bound serves both.
+    // kBlas leaves draw their packed panels from the caller arena, keeping
+    // the warm path malloc-free on pool workers.
     if (op.kind == sched::LeafOp::Kind::kSyrk) {
       return blas::syrk_workspace_bound<T>(op.a.rows, op.a.cols);
     }

@@ -17,12 +17,11 @@ namespace atalib {
 
 /// Leaf multiplication engine. kStrassen is the paper's AtA / FastStrassen
 /// recursion; kBlas is the blocked cubic kernel (the "MKL-style" execution
-/// used as the Fig. 5/6 baseline and an allocation-free fallback);
-/// kPanelSyrk is the tall-skinny fast path (blas/panel_syrk.hpp): row-panel
-/// accumulation straight through the packed syrk/gemm kernels, selected
-/// automatically by the shape-aware planner when m/n crosses the measured
-/// crossover (api::shared_plan_key, DESIGN.md §8).
-enum class LeafEngine { kStrassen, kBlas, kPanelSyrk };
+/// used as the Fig. 5/6 baseline and an allocation-free fallback), which
+/// the shape-aware planner also picks for tall-skinny kStrassen requests
+/// when m/n crosses the measured crossover (api::shared_plan_key,
+/// DESIGN.md §8).
+enum class LeafEngine { kStrassen, kBlas };
 
 /// Execute one leaf multiplication on pre-cut views: for kSyrk,
 /// lower(c) += alpha * a^T a (b is ignored); for kGemm, c += alpha * a^T b.

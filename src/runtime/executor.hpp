@@ -3,27 +3,20 @@
 // benches.
 //
 // A batch is `ntasks` independent, pairwise write-disjoint tasks (the
-// schedulers in sched/ guarantee disjointness), executed by an Executor:
-//
-//   - ThreadPool (thread_pool.hpp): persistent workers, per-worker queues,
-//     work stealing, reusable per-worker workspace arenas, and queued
-//     multi-batch admission (overlapping batches from independent client
-//     threads, plus an async submit() used by the api::Server serving
-//     front-end). The default.
-//   - ForkJoinExecutor (below): the paper's original one-shot
-//     `omp parallel for` execution, kept behind the same interface so the
-//     benches can A/B warm-pool against fork-join. Compile with
-//     ATALIB_RUNTIME_FORKJOIN to make it the process default.
+// schedulers in sched/ guarantee disjointness), executed by an Executor.
+// The library's executor is ThreadPool (thread_pool.hpp): persistent
+// workers, per-worker queues, work stealing, reusable per-worker workspace
+// arenas, and queued multi-batch admission (overlapping batches from
+// independent client threads, plus an async submit() used by the
+// api::Server serving front-end). ThreadPool::global() is the process-wide
+// instance every entry point uses when the caller names no executor.
 //
 // Tasks receive a TaskContext naming the executing slot and its reusable
 // Workspace; all scratch memory must come from there so repeated calls
 // stay malloc-free once warm.
 
 #include <functional>
-#include <memory>
-#include <vector>
 
-#include "common/thread_annotations.hpp"
 #include "runtime/workspace.hpp"
 
 namespace atalib::runtime {
@@ -45,6 +38,12 @@ struct TaskContext {
 /// fn(task, ctx) for task in [0, ntasks).
 using TaskFn = std::function<void(int task, TaskContext& ctx)>;
 
+/// Maps a task id to its preferred NUMA node (a hint, not a guarantee:
+/// stealing may still execute the task anywhere). Values are folded modulo
+/// the executor's numa_nodes(), so `t % nodes` and raw ids are both valid;
+/// negative means no preference.
+using NodeHintFn = std::function<int(int task)>;
+
 class Executor {
  public:
   virtual ~Executor() = default;
@@ -55,7 +54,7 @@ class Executor {
   /// NUMA nodes the executor's slots span. Flat executors report 1; the
   /// ThreadPool reports its probed (or ATALIB_FAKE_NUMA-synthesized)
   /// topology so planners can spread write-disjoint output stripes across
-  /// nodes (see run_placed).
+  /// nodes (see run's `preferred_node`).
   virtual int numa_nodes() const { return 1; }
 
   /// Human-readable engine name for bench tables.
@@ -63,27 +62,14 @@ class Executor {
 
   /// Execute fn(t, ctx) for every t in [0, ntasks); returns when all tasks
   /// have finished. `width` caps the concurrency actually used (0 = the
-  /// executor's own limit); the fork-join engine clamps its thread count to
-  /// min(width, ntasks, concurrency()), the pool treats it as advisory
-  /// (idle persistent workers may still steal — tasks are write-disjoint,
-  /// so extra concurrency is always safe).
-  virtual void run(int ntasks, const TaskFn& fn, int width = 0) = 0;
-
-  /// Maps a task id to its preferred NUMA node (a hint, not a guarantee:
-  /// stealing may still execute the task anywhere). Values are folded
-  /// modulo numa_nodes(), so `t % nodes` and raw ids are both valid;
-  /// negative means no preference.
-  using NodeHintFn = std::function<int(int task)>;
-
-  /// run() with per-task placement hints: a NUMA-aware executor enqueues
-  /// each task on a worker of its preferred node (execution order and
-  /// results are unaffected — tasks are write-disjoint). The default
-  /// ignores the hints, so flat executors need no changes.
-  virtual void run_placed(int ntasks, const TaskFn& fn, int width,
-                          const NodeHintFn& preferred_node) {
-    (void)preferred_node;
-    run(ntasks, fn, width);
-  }
+  /// executor's own limit); the pool treats it as advisory (idle
+  /// persistent workers may still steal — tasks are write-disjoint, so
+  /// extra concurrency is always safe). `preferred_node` (empty = none)
+  /// is a per-task placement hint: a NUMA-aware executor enqueues each
+  /// task on a worker of its preferred node (execution order and results
+  /// are unaffected); flat executors ignore it.
+  virtual void run(int ntasks, const TaskFn& fn, int width = 0,
+                   const NodeHintFn& preferred_node = {}) = 0;
 
   /// Pre-grow every slot's workspace to the given element counts, so a
   /// following run() whose tasks request at most that much performs no
@@ -91,42 +77,8 @@ class Executor {
   /// (stealing routes any task to any slot). No-op once warm. The pool
   /// orders growth against in-flight batches internally (warm requests at
   /// or below the warmed high-water mark return immediately, larger ones
-  /// wait for quiescence); the fork-join engine serializes against its own
-  /// run() instead.
+  /// wait for quiescence).
   virtual void warm_workspaces(std::size_t float_elems, std::size_t double_elems) = 0;
 };
-
-/// The paper's original execution scheme: fork threads, run the parallel
-/// for, join — no state survives between calls except the per-slot
-/// workspaces (kept so the A/B against the pool isolates thread management
-/// rather than allocator behavior). Uses OpenMP when compiled in, a serial
-/// loop otherwise. Independent client threads are serialized (the slot
-/// workspaces cannot serve two batches at once); do not submit from
-/// inside a task.
-class ForkJoinExecutor final : public Executor {
- public:
-  /// threads <= 0 selects std::thread::hardware_concurrency().
-  explicit ForkJoinExecutor(int threads = 0);
-
-  int concurrency() const override { return static_cast<int>(slots_.size()); }
-  const char* name() const override;
-  void run(int ntasks, const TaskFn& fn, int width = 0) override;
-  void warm_workspaces(std::size_t float_elems, std::size_t double_elems) override;
-
-  /// Slot workspaces, for bench/test introspection.
-  Workspace& workspace(int slot) { return *slots_[static_cast<std::size_t>(slot)]; }
-
- private:
-  /// Serializes independent client threads: two concurrent run() calls
-  /// would share slot workspaces. Nothing is guarded by it — the slots are
-  /// read without it by workspace() introspection — it is purely an
-  /// execution-exclusion capability.
-  Mutex run_mu_;
-  std::vector<std::unique_ptr<Workspace>> slots_;
-};
-
-/// Process-wide default: the global persistent ThreadPool, or a global
-/// ForkJoinExecutor when built with ATALIB_RUNTIME_FORKJOIN.
-Executor& default_executor();
 
 }  // namespace atalib::runtime

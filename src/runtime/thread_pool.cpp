@@ -386,15 +386,16 @@ void ThreadPool::run_inline(int ntasks, const TaskFn& fn) {
   --tl_inline_depth;
 }
 
-void ThreadPool::run_with_hint(int ntasks, const TaskFn& fn, int width,
-                               const NodeHintFn* hint) {
+void ThreadPool::run(int ntasks, const TaskFn& fn, int width,
+                     const NodeHintFn& preferred_node) {
   if (ntasks <= 0) return;
   const int nslots = concurrency();
   if (tl_task_depth > 0 || nslots == 1 || ntasks == 1 || width == 1) {
     run_inline(ntasks, fn);
     return;
   }
-  auto batch = enqueue(ntasks, fn, nslots, hint, /*priority=*/0);
+  auto batch = enqueue(ntasks, fn, nslots, preferred_node ? &preferred_node : nullptr,
+                       /*priority=*/0);
   std::future<void> done = batch->done.get_future();
   // Participate as the caller slot if no other concurrent caller claimed
   // it; otherwise just wait (two callers must not share slot workspaces).
@@ -406,17 +407,7 @@ void ThreadPool::run_with_hint(int ntasks, const TaskFn& fn, int width,
   done.get();  // waits for stolen stragglers; rethrows the first task error
 }
 
-void ThreadPool::run(int ntasks, const TaskFn& fn, int width) {
-  run_with_hint(ntasks, fn, width, nullptr);
-}
-
-void ThreadPool::run_placed(int ntasks, const TaskFn& fn, int width,
-                            const NodeHintFn& preferred_node) {
-  run_with_hint(ntasks, fn, width, preferred_node ? &preferred_node : nullptr);
-}
-
-std::future<void> ThreadPool::submit_with_hint(int ntasks, TaskFn fn,
-                                               const NodeHintFn* hint, int priority) {
+std::future<void> ThreadPool::submit(int ntasks, TaskFn fn, const SubmitOptions& opts) {
   std::promise<void> ready;
   if (ntasks <= 0) {
     ready.set_value();
@@ -436,25 +427,9 @@ std::future<void> ThreadPool::submit_with_hint(int ntasks, TaskFn fn,
   }
   // Distribute over the worker slots only — nobody drains the caller slot
   // on this path until a worker steals from it.
-  auto batch = enqueue(ntasks, std::move(fn), nslots - 1, hint, priority);
+  auto batch = enqueue(ntasks, std::move(fn), nslots - 1,
+                       opts.preferred_node ? &opts.preferred_node : nullptr, opts.priority);
   return batch->done.get_future();
-}
-
-std::future<void> ThreadPool::submit(int ntasks, TaskFn fn) {
-  return submit_with_hint(ntasks, std::move(fn), nullptr, 0);
-}
-
-std::future<void> ThreadPool::submit(int ntasks, TaskFn fn,
-                                     const NodeHintFn& preferred_node) {
-  return submit_with_hint(ntasks, std::move(fn),
-                          preferred_node ? &preferred_node : nullptr, 0);
-}
-
-std::future<void> ThreadPool::submit(int ntasks, TaskFn fn,
-                                     const SubmitOptions& opts) {
-  return submit_with_hint(ntasks, std::move(fn),
-                          opts.preferred_node ? &opts.preferred_node : nullptr,
-                          opts.priority);
 }
 
 void ThreadPool::warm_workspaces(std::size_t float_elems, std::size_t double_elems) {

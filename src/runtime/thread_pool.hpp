@@ -8,16 +8,17 @@
 // drains its own queue front-first, then steals from the cold end of other
 // slots' queues, regardless of which batch a task belongs to. Threads are
 // never created and no workspace is allocated on the steady-state hot path
-// — that is the whole point versus the fork-join engine.
+// — that is the whole point versus a per-call fork-join.
 //
 // Two admission styles share the machinery:
-//   - run(ntasks, fn): blocking. The caller additionally participates as
-//     the dedicated caller slot (first-come among concurrent callers) and
-//     returns when its own batch has finished, rethrowing the batch's
-//     first task exception.
-//   - submit(ntasks, fn): queued. Returns a std::future immediately; the
-//     last finishing task fulfils it. This is what the serving front-end
-//     (api::Server) uses so N clients' requests overlap on one pool.
+//   - run(ntasks, fn, width, preferred_node): blocking. The caller
+//     additionally participates as the dedicated caller slot (first-come
+//     among concurrent callers) and returns when its own batch has
+//     finished, rethrowing the batch's first task exception.
+//   - submit(ntasks, fn, opts): queued. Returns a std::future immediately;
+//     the last finishing task fulfils it. This is what the serving
+//     front-end (api::Server) uses so N clients' requests overlap on one
+//     pool.
 //
 // Each slot owns a Workspace whose arenas grow monotonically to the
 // high-water mark of the tasks that slot has executed; stealing moves a
@@ -31,10 +32,10 @@
 // ATALIB_FAKE_NUMA override synthesizes multi-node layouts on flat CI
 // hosts, skipping only the affinity syscalls). Three mechanisms follow
 // from the grouping:
-//   - placement: enqueue can honor a per-task preferred-node hint
-//     (run_placed / submit with a NodeHintFn), distributing each task
-//     round-robin over its node's slots; per-node *scheduled* counters
-//     record assignment deterministically.
+//   - placement: enqueue can honor a per-task preferred-node hint (run's
+//     `preferred_node`, SubmitOptions::preferred_node), distributing each
+//     task round-robin over its node's slots; per-node *scheduled*
+//     counters record assignment deterministically.
 //   - memory: a growing warm_workspaces() is executed by each worker on
 //     its own slot (first touch), so a slot's arena pages live on the
 //     worker's node — never on the admitting client's.
@@ -63,9 +64,9 @@
 // at that width *given exclusive use of the pool*, which the distributed
 // layer's rank pool guarantees by holding the RankPoolLease mutex for the
 // whole communicator batch (src/dist/rank_pool.hpp). Do not change the
-// distribution scheme without this invariant. (Hinted admission via
-// run_placed/submit-with-hints distributes differently, but the rank pool
-// never passes hints, so the invariant binds only the unhinted path.)
+// distribution scheme without this invariant. (Hinted admission
+// distributes differently, but the rank pool never passes hints, so the
+// invariant binds only the unhinted path.)
 
 #include <atomic>
 #include <condition_variable>
@@ -83,6 +84,21 @@
 #include "runtime/executor.hpp"
 
 namespace atalib::runtime {
+
+/// Options for ThreadPool::submit (at namespace scope so the declaration
+/// can default it with `= {}`).
+struct SubmitOptions {
+  /// Batch priority class: at every pop and steal point a slot drains the
+  /// highest-priority class present, FIFO within the class. Equal
+  /// priorities behave exactly like the historical single-deque pool.
+  /// Priority reorders *queued* work only — it never preempts a running
+  /// task — and the blocking-batch invariant (file comment) is unaffected
+  /// because it binds only the unhinted run() path, which always enqueues
+  /// at priority 0.
+  int priority = 0;
+  /// Per-task preferred-node hint (see Executor::run); empty = none.
+  NodeHintFn preferred_node;
+};
 
 class ThreadPool final : public Executor {
  public:
@@ -114,16 +130,14 @@ class ThreadPool final : public Executor {
   /// Runs the batch; rethrows the first task exception after the batch
   /// drains (the pool stays usable). Re-entrant submissions from inside a
   /// task execute inline on the submitting thread. Batches from
-  /// independent client threads overlap.
-  void run(int ntasks, const TaskFn& fn, int width = 0) override;
-
-  /// run() with per-task preferred-node hints: task t is enqueued
-  /// round-robin over the slots of node `preferred_node(t) % numa_nodes()`
-  /// (negative hint: no preference). Stealing may still execute a task
-  /// anywhere — locality-first order makes that the exception, and the
-  /// write-disjoint task contract makes it always correct.
-  void run_placed(int ntasks, const TaskFn& fn, int width,
-                  const NodeHintFn& preferred_node) override;
+  /// independent client threads overlap. With a `preferred_node` hint,
+  /// task t is enqueued round-robin over the slots of node
+  /// `preferred_node(t) % numa_nodes()` (negative hint: no preference).
+  /// Stealing may still execute a task anywhere — locality-first order
+  /// makes that the exception, and the write-disjoint task contract makes
+  /// it always correct.
+  void run(int ntasks, const TaskFn& fn, int width = 0,
+           const NodeHintFn& preferred_node = {}) override;
 
   /// Queued multi-batch admission: enqueue the batch and return a future
   /// that becomes ready when its last task finishes (exceptional with the
@@ -132,32 +146,10 @@ class ThreadPool final : public Executor {
   /// batch and must tolerate concurrent invocation like run()'s. From
   /// inside a task (or on a workerless pool) the batch executes inline
   /// before returning, so the future is already ready — blocking on the
-  /// future from task context can never deadlock.
-  std::future<void> submit(int ntasks, TaskFn fn);
-
-  /// submit() with per-task preferred-node hints (see run_placed). Used by
-  /// the serving front-end to pin a plan's write-disjoint C stripes to
-  /// nodes round-robin.
-  std::future<void> submit(int ntasks, TaskFn fn, const NodeHintFn& preferred_node);
-
-  /// Knobs for the queued path that don't fit positional overloads (an
-  /// int priority would be ambiguous against NodeHintFn's converting
-  /// constructor).
-  struct SubmitOptions {
-    /// Batch priority class: at every pop and steal point a slot drains
-    /// the highest-priority class present, FIFO within the class. Equal
-    /// priorities behave exactly like the historical single-deque pool.
-    /// Priority reorders *queued* work only — it never preempts a running
-    /// task — and the blocking-batch invariant above is unaffected
-    /// because it binds only the unhinted run() path, which always
-    /// enqueues at priority 0.
-    int priority = 0;
-    /// Per-task preferred-node hint (see run_placed); empty = none.
-    NodeHintFn preferred_node;
-  };
-
-  /// submit() with priority and/or placement hints.
-  std::future<void> submit(int ntasks, TaskFn fn, const SubmitOptions& opts);
+  /// future from task context can never deadlock. The serving front-end
+  /// passes a priority and a hint pinning a plan's write-disjoint C
+  /// stripes to nodes round-robin.
+  std::future<void> submit(int ntasks, TaskFn fn, const SubmitOptions& opts = {});
 
   /// Tasks currently sitting in the slot queues (admitted, not yet popped
   /// or stolen). Instantaneous gauge for the serving metrics surface.
@@ -167,8 +159,9 @@ class ThreadPool final : public Executor {
 
   void warm_workspaces(std::size_t float_elems, std::size_t double_elems) override;
 
-  /// The process-wide pool used by default_executor(): hardware-sized,
-  /// created on first use, workers persist until exit.
+  /// The process-wide pool every entry point uses when the caller names no
+  /// executor: hardware-sized, created on first use, workers persist until
+  /// exit.
   static ThreadPool& global();
 
   /// True while the calling thread is executing a pool task or an inline
@@ -257,9 +250,6 @@ class ThreadPool final : public Executor {
   /// — and wake the workers. Returns the batch for completion waiting.
   std::shared_ptr<Batch> enqueue(int ntasks, TaskFn fn, int dist_slots,
                                  const NodeHintFn* hint, int priority);
-  void run_with_hint(int ntasks, const TaskFn& fn, int width, const NodeHintFn* hint);
-  std::future<void> submit_with_hint(int ntasks, TaskFn fn, const NodeHintFn* hint,
-                                     int priority);
   void run_inline(int ntasks, const TaskFn& fn);
   void worker_main(int slot);
   void pin_to_node(int slot);

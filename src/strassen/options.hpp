@@ -16,8 +16,8 @@ namespace atalib {
 /// cache probe when no crossover is found or under the forced-scalar env.
 index_t tuned_base_case_elements(std::size_t elem_bytes);
 
-/// Measured tall-skinny crossover ratio m/n at which the blocked
-/// panel-SYRK engine beats the Strassen recursion for scalars of
+/// Measured tall-skinny crossover ratio m/n at which the blocked syrk
+/// (the kBlas engine) beats the Strassen recursion for scalars of
 /// `elem_bytes` bytes (strassen/tuner.cpp; cached per ISA/dtype alongside
 /// the base-case entries). The shape-aware planner (api::shared_plan_key)
 /// consults this when SharedOptions::tall_skinny_ratio is 0.

@@ -9,7 +9,7 @@
 #include "ata/ata.hpp"
 #include "blas/gemm.hpp"
 #include "blas/kernels/registry.hpp"
-#include "blas/panel_syrk.hpp"
+#include "blas/syrk.hpp"
 #include "common/cacheinfo.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
@@ -84,9 +84,9 @@ index_t measure_crossover() {
   return 0;
 }
 
-/// Time the Strassen AtA recursion against the blocked panel-SYRK on
-/// m = ratio * n inputs (n fixed small, the serving shape) and return the
-/// smallest ladder ratio where the panel engine wins, or 0 if it never
+/// Time the Strassen AtA recursion against the blocked syrk (the kBlas
+/// engine) on m = ratio * n inputs (n fixed small, the serving shape) and
+/// return the smallest ladder ratio where syrk wins, or 0 if it never
 /// does. `base` is the already-resolved Strassen base-case cut-off, passed
 /// in so this measurement can never re-enter the tuner.
 template <typename T>
@@ -113,16 +113,16 @@ index_t measure_ts_crossover(index_t base) {
 
     Arena<T> arena(static_cast<std::size_t>(
         std::max(ata_workspace_bound(m, kN, rec, sizeof(T)),
-                 blas::panel_syrk_workspace_bound<T>(m, kN))));
+                 blas::syrk_workspace_bound<T>(m, kN))));
     const double t_strassen =
         min_time_of([&] { ata(T(1), av, cv, arena, rec); }, kReps);
-    const double t_panel = min_time_of(
+    const double t_syrk = min_time_of(
         [&] {
           arena.reset();
-          blas::panel_syrk_ln(T(1), av, cv, &arena);
+          blas::syrk_ln(T(1), av, cv, &arena);
         },
         kReps);
-    if (t_panel < t_strassen) return ratio;
+    if (t_syrk < t_strassen) return ratio;
   }
   return 0;
 }
@@ -216,8 +216,8 @@ index_t Tuner::tall_skinny_ratio(std::size_t elem_bytes) {
     const index_t measured = elem_bytes == sizeof(float)
                                  ? measure_ts_crossover<float>(base)
                                  : measure_ts_crossover<double>(base);
-    // No crossover on the ladder -> the panel engine never won; a huge
-    // ratio keeps the planner on the recursion for every realistic shape.
+    // No crossover on the ladder -> syrk never won; a huge ratio keeps the
+    // planner on the recursion for every realistic shape.
     value = measured == 0 ? (index_t{1} << 20)
                           : std::min(std::max<index_t>(measured, 2), index_t{64});
     store(key, value);

@@ -39,8 +39,8 @@ class Tuner {
   index_t base_case_elements(std::size_t elem_bytes);
 
   /// Tall-skinny crossover ratio for the shape-aware planner (DESIGN.md
-  /// §8): the smallest m/n at which the blocked panel-SYRK engine beats
-  /// the Strassen recursion on this (ISA, dtype). Same resolution order
+  /// §8): the smallest m/n at which the blocked syrk (the kBlas engine)
+  /// beats the Strassen recursion on this (ISA, dtype). Same resolution order
   /// and cache file as base_case_elements (lines "<isa> <f32|f64>-ts
   /// <ratio>"); falls back to a static default of 8 when the ladder finds
   /// no crossover or under ATALIB_FORCE_SCALAR_KERNELS. Plans built with

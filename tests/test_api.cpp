@@ -349,59 +349,53 @@ SharedOptions ratio_opts(index_t tall_skinny_ratio) {
   return so;
 }
 
-TEST(QueryPlanner, TallSkinnyCrossoverSelectsPanelSyrkEngine) {
+TEST(QueryPlanner, TallSkinnyCrossoverSelectsBlasEngine) {
   // Forced thresholds on both sides of the shape make the choice an
-  // oracle: m/n = 16 selects the panel engine iff the threshold is at or
-  // below 16, and the decision (plus the ratio it was made with) is
-  // captured in the plan key.
+  // oracle: m/n = 16 selects kBlas iff the threshold is at or below 16,
+  // and the resolved engine in the plan key is what separates the plans.
   const index_t m = 1024, n = 64;  // m/n = 16
   const auto below = api::shared_plan_key(api::dtype_of<double>(), m, n, ratio_opts(8));
-  EXPECT_EQ(below.engine, LeafEngine::kPanelSyrk);
-  EXPECT_EQ(below.tall_skinny_ratio, 8);
+  EXPECT_EQ(below.engine, LeafEngine::kBlas);
 
   const auto above = api::shared_plan_key(api::dtype_of<double>(), m, n, ratio_opts(32));
   EXPECT_EQ(above.engine, LeafEngine::kStrassen);
-  EXPECT_EQ(above.tall_skinny_ratio, 32);
 
   const auto disabled = api::shared_plan_key(api::dtype_of<double>(), m, n, ratio_opts(-1));
   EXPECT_EQ(disabled.engine, LeafEngine::kStrassen);
-  EXPECT_EQ(disabled.tall_skinny_ratio, -1);
 
-  EXPECT_NE(below, above) << "the resolved ratio must separate cached plans";
+  EXPECT_NE(below, above) << "the resolved engine must separate cached plans";
+  EXPECT_EQ(above, disabled) << "thresholds that keep the recursion share one plan";
 
   // Square-ish shapes never take the fast path regardless of threshold.
   const auto square = api::shared_plan_key(api::dtype_of<double>(), 96, 80, ratio_opts(2));
   EXPECT_EQ(square.engine, LeafEngine::kStrassen);
 
-  // A forced non-Strassen engine is never overridden by the planner.
-  SharedOptions blas_engine = ratio_opts(2);
+  // A forced kBlas request and a tall-skinny kStrassen one resolve to the
+  // same plan.
+  SharedOptions blas_engine = ratio_opts(-1);
   blas_engine.engine = LeafEngine::kBlas;
-  EXPECT_EQ(api::shared_plan_key(api::dtype_of<double>(), m, n, blas_engine).engine,
-            LeafEngine::kBlas);
+  EXPECT_EQ(api::shared_plan_key(api::dtype_of<double>(), m, n, blas_engine), below);
 }
 
-TEST(QueryPlanner, PanelSyrkPlanExecutesBitwiseEqualToRecursive) {
+TEST(QueryPlanner, TallSkinnyBlasPlanExecutesBitwiseEqualToRecursive) {
   // Both engine choices on one tall-skinny input must agree bitwise on
-  // integer data — the planner changes the schedule, not the math.
+  // integer data — the planner changes the engine, not the math.
   const index_t m = 1024, n = 48;
+  ASSERT_EQ(api::shared_plan_key(api::dtype_of<double>(), m, n, ratio_opts(4)).engine,
+            LeafEngine::kBlas);
   const auto a = random_integer<double>(m, n, 2, 77);
-  auto c_ref = Matrix<double>::zeros(n, n);
-  ata(1.0, a.const_view(), c_ref.view(), tiny_base());
-
-  auto c_panel = Matrix<double>::zeros(n, n);
-  ata_shared(1.0, a.const_view(), c_panel.view(), ratio_opts(4));  // panel engine
-  EXPECT_EQ(max_abs_diff_lower<double>(c_panel.const_view(), c_ref.const_view()), 0.0);
-
+  auto c_blas = Matrix<double>::zeros(n, n);
+  ata_shared(1.0, a.const_view(), c_blas.view(), ratio_opts(4));
   auto c_rec = Matrix<double>::zeros(n, n);
   ata_shared(1.0, a.const_view(), c_rec.view(), ratio_opts(-1));  // forced recursive
-  EXPECT_EQ(max_abs_diff_lower<double>(c_rec.const_view(), c_ref.const_view()), 0.0);
+  EXPECT_EQ(max_abs_diff_lower<double>(c_blas.const_view(), c_rec.const_view()), 0.0);
 
-  auto c_f32 = Matrix<float>::zeros(n, n);
   const auto a_f32 = random_integer<float>(m, n, 2, 78);
-  auto c_f32_ref = Matrix<float>::zeros(n, n);
-  ata(1.0f, a_f32.const_view(), c_f32_ref.view(), tiny_base());
-  ata_shared(1.0f, a_f32.const_view(), c_f32.view(), ratio_opts(4));
-  EXPECT_EQ(max_abs_diff_lower<float>(c_f32.const_view(), c_f32_ref.const_view()), 0.0);
+  auto c_blas_f32 = Matrix<float>::zeros(n, n);
+  ata_shared(1.0f, a_f32.const_view(), c_blas_f32.view(), ratio_opts(4));
+  auto c_rec_f32 = Matrix<float>::zeros(n, n);
+  ata_shared(1.0f, a_f32.const_view(), c_rec_f32.view(), ratio_opts(-1));
+  EXPECT_EQ(max_abs_diff_lower<float>(c_blas_f32.const_view(), c_rec_f32.const_view()), 0.0);
 }
 
 TEST(QueryPlanner, RejectsRatioBelowMinusOne) {

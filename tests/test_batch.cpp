@@ -17,6 +17,7 @@
 #include "api/server.hpp"
 #include "ata/ata.hpp"
 #include "blas/kernels/pack.hpp"
+#include "blas/syrk.hpp"
 #include "matrix/compare.hpp"
 #include "matrix/generate.hpp"
 #include "sched/dist_tree.hpp"
@@ -250,6 +251,36 @@ TEST(SubmitBatch, DefaultOverloadUsesSerialPerRequestPlans) {
   serial.oversub = 1;
   EXPECT_TRUE(server.plans().contains(
       api::shared_plan_key(api::dtype_of<double>(), 96, 80, serial)));
+}
+
+TEST(SubmitBatch, TallF32BatchMatchesSyrkBitwise) {
+  // A batch of 2048x256 f32 Grams at m/n = 8 goes to the kBlas engine, one
+  // serial task per request, so each result must be blas::syrk_ln's
+  // bitwise — on real-valued inputs, where any change in accumulation
+  // order would show.
+  const index_t m = 2048, n = 256;
+  SharedOptions so = batch_opts(1, 1);
+  so.tall_skinny_ratio = 8;
+  ASSERT_EQ(api::shared_plan_key(api::dtype_of<float>(), m, n, so).engine, LeafEngine::kBlas);
+
+  api::Server server(api::Server::Options{4, 8});
+  constexpr int kReqs = 4;
+  std::vector<Matrix<float>> inputs, outputs;
+  std::vector<api::AtaRequest<float>> requests;
+  for (int i = 0; i < kReqs; ++i) {
+    inputs.push_back(random_uniform<float>(m, n, 500 + i));
+    outputs.push_back(Matrix<float>::zeros(n, n));
+  }
+  for (int i = 0; i < kReqs; ++i) {
+    requests.push_back({1.0f, inputs[i].const_view(), outputs[i].view()});
+  }
+  for (auto& f : server.submit_batch<float>(requests, so)) f.get();
+  for (int i = 0; i < kReqs; ++i) {
+    auto c_ref = Matrix<float>::zeros(n, n);
+    blas::syrk_ln(1.0f, inputs[i].const_view(), c_ref.view());
+    EXPECT_EQ(max_abs_diff_lower<float>(outputs[i].const_view(), c_ref.const_view()), 0.0f)
+        << "request " << i;
+  }
 }
 
 TEST(BuildBatchPlan, FlattensTasksAndSharesPlansAcrossRequests) {

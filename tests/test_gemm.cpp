@@ -44,7 +44,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Shape{1, 1, 1}, Shape{2, 3, 4}, Shape{5, 5, 5}, Shape{7, 11, 13},
                       Shape{16, 16, 16}, Shape{31, 33, 29}, Shape{64, 64, 64},
                       Shape{100, 1, 100}, Shape{1, 100, 100}, Shape{129, 65, 33},
-                      Shape{257, 31, 129}, Shape{300, 300, 3}));
+                      Shape{257, 31, 129}, Shape{300, 300, 3}, Shape{777, 13, 21}));
 
 TEST(Gemm, AccumulatesIntoExistingC) {
   auto a = random_integer<double>(8, 8, 2, 5);

@@ -8,10 +8,13 @@
 // the whole suite).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <latch>
 #include <optional>
 #include <stdexcept>
@@ -108,6 +111,46 @@ TEST(FakeNuma, ProbeHonorsOverrideAndThrowsOnMalformed) {
   }
 }
 
+// ---- Sysfs probe ------------------------------------------------------
+
+TEST(SysfsNuma, ReadsOnlyOnlineNodesAndSkipsMemoryOnlyOnes) {
+  namespace fs = std::filesystem;
+  const fs::path root = fs::temp_directory_path() /
+                        ("atalib_sysfs_node_" + std::to_string(::getpid()));
+  fs::remove_all(root);
+  auto write = [&](const fs::path& rel, const std::string& text) {
+    fs::create_directories((root / rel).parent_path());
+    std::ofstream(root / rel) << text;
+  };
+  EXPECT_FALSE(probe_sysfs_topology(root.string()).has_value()) << "no online file";
+
+  // Non-dense ids: node1 exists on disk but is not online, so it must not
+  // be read.
+  write("online", "0,2\n");
+  write("node0/cpulist", "0-1\n");
+  write("node1/cpulist", "4-5\n");
+  write("node2/cpulist", "2-3\n");
+  auto topo = probe_sysfs_topology(root.string());
+  ASSERT_TRUE(topo.has_value());
+  EXPECT_FALSE(topo->fake);
+  ASSERT_EQ(topo->num_nodes(), 2);
+  EXPECT_EQ(topo->nodes[0].id, 0);
+  EXPECT_EQ(topo->nodes[0].cpus, (std::vector<int>{0, 1}));
+  EXPECT_EQ(topo->nodes[1].id, 2);
+  EXPECT_EQ(topo->nodes[1].cpus, (std::vector<int>{2, 3}));
+
+  // A memory-only node (empty cpulist) is online but gets no slots.
+  write("online", "0,2-3\n");
+  write("node3/cpulist", "\n");
+  topo = probe_sysfs_topology(root.string());
+  ASSERT_TRUE(topo.has_value());
+  ASSERT_EQ(topo->num_nodes(), 2);
+  EXPECT_EQ(topo->nodes[1].id, 2);
+  EXPECT_EQ(topo->total_cpus(), 4);
+
+  fs::remove_all(root);
+}
+
 // ---- Slot -> node grouping --------------------------------------------
 
 TEST(NumaPool, SlotsBlockOverNodesProportionally) {
@@ -139,7 +182,7 @@ TEST(NumaPool, RoundRobinSchedulingBalancesNodes) {
   ASSERT_EQ(pool.numa_nodes(), 2);
   const int ntasks = 16;
   std::atomic<int> ran{0};
-  pool.run_placed(
+  pool.run(
       ntasks, [&](int, runtime::TaskContext&) { ran.fetch_add(1); }, 0,
       [](int t) { return t % 2; });
   EXPECT_EQ(ran.load(), ntasks);
@@ -158,7 +201,7 @@ TEST(NumaPool, FourNodeRoundRobinWithinOneTask) {
   runtime::ThreadPool pool(8);
   ASSERT_EQ(pool.numa_nodes(), 4);
   const int ntasks = 10;  // 10 = 4*2 + 2: two nodes get one extra task
-  pool.run_placed(
+  pool.run(
       ntasks, [](int, runtime::TaskContext&) {}, 0, [](int t) { return t % 4; });
   std::uint64_t total = 0;
   for (int node = 0; node < 4; ++node) {
@@ -176,7 +219,7 @@ TEST(NumaPool, HonorsPreferredNodeExclusively) {
   runtime::ThreadPool pool(4);
   ASSERT_EQ(pool.numa_nodes(), 2);
   const int ntasks = 12;
-  pool.run_placed(
+  pool.run(
       ntasks, [](int, runtime::TaskContext&) {}, 0, [](int) { return 1; });
   EXPECT_EQ(pool.scheduled_on_node(0), 0u);
   EXPECT_EQ(pool.scheduled_on_node(1), static_cast<std::uint64_t>(ntasks));
@@ -186,7 +229,7 @@ TEST(NumaPool, NegativeHintFallsBackToFlatRotation) {
   FakeNumaGuard guard("2x2");
   runtime::ThreadPool pool(4);
   const int ntasks = 8;
-  pool.run_placed(
+  pool.run(
       ntasks, [](int, runtime::TaskContext&) {}, 0, [](int) { return -1; });
   // Flat rotation over 4 slots = 2 per slot = 4 per node.
   EXPECT_EQ(pool.scheduled_on_node(0), 4u);
@@ -215,7 +258,7 @@ TEST(NumaPool, BalancedOneTaskPerSlotBatchHasZeroSteals) {
   runtime::ThreadPool pool(4);
   ASSERT_EQ(pool.numa_nodes(), 2);
   std::latch all_started(4);
-  pool.run_placed(
+  pool.run(
       4,
       [&](int, runtime::TaskContext&) {
         all_started.arrive_and_wait();
@@ -263,7 +306,7 @@ TEST(NumaPool, WarmGrowsEverySlotUnderFakeTopology) {
   std::vector<std::size_t> grows_before(4);
   for (int s = 0; s < 4; ++s) grows_before[static_cast<std::size_t>(s)] =
       pool.workspace(s).grow_count();
-  pool.run_placed(
+  pool.run(
       8,
       [&](int, runtime::TaskContext& ctx) {
         Arena<double>& arena = ctx.arena<double>(doubles);

@@ -333,7 +333,7 @@ TEST(AtaSharedPool, BitwiseMatchesSerialAtaOnIntegerInputs) {
   }
 }
 
-TEST(AtaSharedPool, DefaultExecutorAndForkJoinAgree) {
+TEST(AtaSharedPool, GlobalPoolAndExplicitPoolAgree) {
   const auto a = random_integer<float>(72, 56, 2, 77);
   auto c_ref = Matrix<float>::zeros(56, 56);
   blas::ref::syrk_ln(1.0f, a.const_view(), c_ref.view());
@@ -342,16 +342,16 @@ TEST(AtaSharedPool, DefaultExecutorAndForkJoinAgree) {
   so.threads = 5;
   so.oversub = 2;
   so.recurse = tiny_base();
-  auto c_default = Matrix<float>::zeros(56, 56);
-  ata_shared(1.0f, a.const_view(), c_default.view(), so);  // default executor
+  auto c_global = Matrix<float>::zeros(56, 56);
+  ata_shared(1.0f, a.const_view(), c_global.view(), so);  // null executor: global pool
 
-  runtime::ForkJoinExecutor forkjoin(4);
-  so.executor = &forkjoin;
-  auto c_fj = Matrix<float>::zeros(56, 56);
-  ata_shared(1.0f, a.const_view(), c_fj.view(), so);
+  runtime::ThreadPool pool(4);
+  so.executor = &pool;
+  auto c_pool = Matrix<float>::zeros(56, 56);
+  ata_shared(1.0f, a.const_view(), c_pool.view(), so);
 
-  EXPECT_EQ(max_abs_diff_lower<float>(c_default.const_view(), c_ref.const_view()), 0.0);
-  EXPECT_EQ(max_abs_diff_lower<float>(c_fj.const_view(), c_ref.const_view()), 0.0);
+  EXPECT_EQ(max_abs_diff_lower<float>(c_global.const_view(), c_ref.const_view()), 0.0);
+  EXPECT_EQ(max_abs_diff_lower<float>(c_pool.const_view(), c_ref.const_view()), 0.0);
 }
 
 TEST(AtaSharedPool, BlasEngineAndProfileAgreeOverPool) {

@@ -116,7 +116,7 @@ TEST(PoolPriority, HigherClassDrainsFirstFifoWithinClass) {
   std::array<int, kPerBatch> low_at{};   // execution position of low task t
   std::array<int, kPerBatch> high_at{};
 
-  runtime::ThreadPool::SubmitOptions low_opts;
+  runtime::SubmitOptions low_opts;
   low_opts.priority = 0;
   auto low = pool.submit(
       kPerBatch,
@@ -124,7 +124,7 @@ TEST(PoolPriority, HigherClassDrainsFirstFifoWithinClass) {
         low_at[static_cast<std::size_t>(t)] = seq.fetch_add(1, std::memory_order_relaxed);
       },
       low_opts);
-  runtime::ThreadPool::SubmitOptions high_opts;
+  runtime::SubmitOptions high_opts;
   high_opts.priority = 5;
   auto high = pool.submit(
       kPerBatch,

@@ -6,7 +6,8 @@
 // dispatch path the machine offers (the cpuid-selected SIMD tier and the
 // portable scalar tile), reports the SIMD-vs-scalar speedup, and writes the
 // per-path records to --json (BENCH_blas.json), the repo's leaf-kernel perf
-// baseline.
+// baseline. The `microkernel` records are the ceiling those rates are read
+// against: the register tile alone, in L1, at the configured KC.
 
 #include <cstdio>
 #include <map>
@@ -66,6 +67,30 @@ Measurement time_syrk(const char* name, index_t n, int reps, const std::string& 
   return {name, sizeof(T) == 4 ? "f32" : "f64", n, secs, flops / secs / 1e9, dispatch};
 }
 
+// One packed MR x kc A micro-panel and one kc x NR B micro-panel (kc = the
+// dispatch path's KC, so both stay in L1) swept repeatedly into one C tile:
+// no packing, no cache misses, only the register tile's k-loop and
+// writeback. n in the record is kc.
+template <typename T>
+Measurement time_microkernel(Isa isa, int reps, const std::string& dispatch) {
+  const auto& cfg = blas::kernels::config_for<T>(isa);
+  const index_t mr = cfg.uk.mr, nr = cfg.uk.nr, kc = cfg.blocks.kc;
+  const auto a = random_uniform<T>(kc, mr, 6);
+  const auto b = random_uniform<T>(kc, nr, 7);
+  auto c = Matrix<T>::zeros(mr, nr);
+  const double flops_per_call = 2.0 * static_cast<double>(mr) * nr * kc;
+  const long calls = std::max(1L, static_cast<long>(2e8 / flops_per_call));
+  const double secs = min_time_of(
+      [&] {
+        for (long i = 0; i < calls; ++i) {
+          cfg.uk.fn(kc, T(1), a.data(), b.data(), c.data(), nr, mr, nr);
+        }
+      },
+      reps);
+  return {"microkernel", sizeof(T) == 4 ? "f32" : "f64", kc, secs,
+          flops_per_call * static_cast<double>(calls) / secs / 1e9, dispatch};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -106,6 +131,8 @@ int main(int argc, char** argv) {
     results.push_back(time_gemm_nn<double>("gemm_nn", sizes[1], reps, dispatch));
     results.push_back(time_gemm_tn<float>("gemm_tn", sizes[1], reps, dispatch));
     results.push_back(time_syrk<float>("syrk_ln", sizes[1], reps, dispatch));
+    results.push_back(time_microkernel<double>(isa, reps, dispatch));
+    results.push_back(time_microkernel<float>(isa, reps, dispatch));
   }
   blas::kernels::set_forced_isa(std::nullopt);
 

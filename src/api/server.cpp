@@ -45,17 +45,15 @@ Server::Server(const Options& opts)
 Server::~Server() {
   UniqueLock lk(gate_mu_);
   shutting_down_ = true;
-  // Abort everything still unsettled: tasks that have not computed yet see
-  // `cancelled` and skip; clients get ServerShutdown instead of a hang.
+  // Abort everything still unsettled: units that have not computed yet
+  // see the cancel and skip; clients get ServerShutdown instead of a hang
+  // — at once if nothing started, else when the last running unit exits.
   for (auto& t : ledger_) {
-    bool expected = false;
-    if (!t->settled.compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
-      continue;
+    if (t->settled.load(std::memory_order_relaxed)) continue;
+    if (cancel(*t, CancelReason::kShutdown) && claim(*t)) {
+      fail_cancelled(*t);
+      --inflight_requests_;
     }
-    t->cancelled.store(true, std::memory_order_release);
-    t->promise.set_exception(std::make_exception_ptr(
-        ServerShutdown("atalib: Server destroyed with the request in flight")));
-    --inflight_requests_;
   }
   ledger_.clear();
   gate_cv_.notify_all();
@@ -137,31 +135,33 @@ std::size_t Server::shed_expired(Clock::time_point now) {
   for (auto& t : ledger_) {
     if (t->settled.load(std::memory_order_relaxed)) continue;
     if (now < t->deadline) continue;
-    bool expected = false;
-    if (!t->settled.compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
-      continue;
+    if (cancel(*t, CancelReason::kShed) && claim(*t)) {
+      fail_cancelled(*t);
+      --inflight_requests_;
+      ++freed;
     }
-    t->cancelled.store(true, std::memory_order_release);
-    t->promise.set_exception(std::make_exception_ptr(DeadlineExceeded(
-        "atalib: request shed under kShedOldest after its deadline expired")));
-    --inflight_requests_;
-    ++freed;
   }
   while (!ledger_.empty() && ledger_.front()->settled.load(std::memory_order_relaxed)) {
     ledger_.pop_front();
   }
-  if (freed > 0) {
-    shed_.fetch_add(freed, std::memory_order_relaxed);
-    deadline_expired_.fetch_add(freed, std::memory_order_relaxed);
-  }
   return freed;
 }
 
-bool Server::claim_and_release(Ticket& t) {
+bool Server::cancel(Ticket& t, CancelReason why) {
+  CancelReason none = CancelReason::kNone;
+  t.cancel.compare_exchange_strong(none, why, std::memory_order_acq_rel);
+  std::int64_t idle = -1;
+  return t.started_ns.compare_exchange_strong(idle, Ticket::kNeverStarted,
+                                              std::memory_order_acq_rel);
+}
+
+bool Server::claim(Ticket& t) {
   bool expected = false;
-  if (!t.settled.compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
-    return false;
-  }
+  return t.settled.compare_exchange_strong(expected, true, std::memory_order_acq_rel);
+}
+
+bool Server::claim_and_release(Ticket& t) {
+  if (!claim(t)) return false;
   MutexLock lk(gate_mu_);
   --inflight_requests_;
   while (!ledger_.empty() && ledger_.front()->settled.load(std::memory_order_relaxed)) {
@@ -169,6 +169,28 @@ bool Server::claim_and_release(Ticket& t) {
   }
   gate_cv_.notify_all();
   return true;
+}
+
+void Server::fail_cancelled(Ticket& t) {
+  std::exception_ptr error;
+  switch (t.cancel.load(std::memory_order_acquire)) {
+    case CancelReason::kShed:
+      shed_.fetch_add(1, std::memory_order_relaxed);
+      deadline_expired_.fetch_add(1, std::memory_order_relaxed);
+      error = std::make_exception_ptr(DeadlineExceeded(
+          "atalib: request shed under kShedOldest after its deadline expired"));
+      break;
+    case CancelReason::kShutdown:
+      error = std::make_exception_ptr(
+          ServerShutdown("atalib: Server destroyed with the request in flight"));
+      break;
+    default:
+      deadline_expired_.fetch_add(1, std::memory_order_relaxed);
+      error = std::make_exception_ptr(
+          DeadlineExceeded("atalib: request deadline expired before execution"));
+      break;
+  }
+  t.promise.set_exception(error);
 }
 
 void Server::on_batch_retired() {
@@ -333,11 +355,8 @@ std::vector<std::future<void>> Server::submit_batch(std::span<const AtaRequest<T
   for (std::size_t r = 0; r < nreq; ++r) {
     Ticket& ticket = *state->tickets[r];
     if (admitted_at < ticket.deadline) continue;
-    ticket.cancelled.store(true, std::memory_order_release);
-    if (claim_and_release(ticket)) {
-      deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-      ticket.promise.set_exception(std::make_exception_ptr(DeadlineExceeded(
-          "atalib: request deadline already expired at submit")));
+    if (cancel(ticket, CancelReason::kDeadline) && claim_and_release(ticket)) {
+      fail_cancelled(ticket);
     }
   }
 
@@ -405,12 +424,15 @@ std::vector<std::future<void>> Server::submit_batch(std::span<const AtaRequest<T
   }
 
   // Per-request completion: the unit that takes `remaining` to zero wins
-  // the ticket's settle CAS (unless a shed / deadline / shutdown settled
-  // it first, in which case the work was skipped). The first failing unit
-  // of a request claims the error slot (CAS), writes the exception_ptr,
-  // and the acq_rel decrement chain publishes it to whichever unit settles
-  // — so a failure surfaces on its own request's future and never on the
-  // (discarded) pool-level batch future or on a sibling request.
+  // the ticket's settle CAS — unless a canceller settled it first, which
+  // it may only do while no unit has started (RequestTicket). A cancelled
+  // request settles with its recorded reason, and only after every unit
+  // that began computing has stopped writing its C. The first failing
+  // unit of a request claims the error slot (CAS), writes the
+  // exception_ptr, and the acq_rel decrement chain publishes it to
+  // whichever unit settles — so a failure surfaces on its own request's
+  // future and never on the (discarded) pool-level batch future or on a
+  // sibling request.
   Server* const server = this;
   auto body = [state, server](int t, runtime::TaskContext& ctx) {
     const BatchChunk chunk = state->chunks[static_cast<std::size_t>(t)];
@@ -422,42 +444,47 @@ std::vector<std::future<void>> Server::submit_batch(std::span<const AtaRequest<T
       const AtaPlan& plan =
           *state->batch.plans[static_cast<std::size_t>(
               state->batch.plan_of_request[static_cast<std::size_t>(req)])];
-      if (!ticket.cancelled.load(std::memory_order_acquire)) {
+      if (ticket.cancel.load(std::memory_order_acquire) == CancelReason::kNone) {
         const SteadyClock::time_point now = SteadyClock::now();
         if (now >= ticket.deadline) {
-          // Expired before this unit computed: settle with DeadlineExceeded
-          // and skip the leaf GEMMs (any remaining units skip too).
-          ticket.cancelled.store(true, std::memory_order_release);
-          if (server->claim_and_release(ticket)) {
-            server->deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-            ticket.promise.set_exception(std::make_exception_ptr(DeadlineExceeded(
-                "atalib: request deadline expired before execution")));
+          // Expired before this unit computed: skip its leaf GEMMs and
+          // every later unit's. Settle now only if no sibling started.
+          if (cancel(ticket, CancelReason::kDeadline) && server->claim_and_release(ticket)) {
+            server->fail_cancelled(ticket);
           }
         } else {
-          std::int64_t expected = -1;
-          if (ticket.started_ns.compare_exchange_strong(expected, ns_of(now),
+          // `started` keeps -1 when this unit claims the start, and reads
+          // kNeverStarted when a canceller claimed it first.
+          std::int64_t started = -1;
+          if (ticket.started_ns.compare_exchange_strong(started, ns_of(now),
                                                         std::memory_order_acq_rel)) {
             server->queue_wait_.record(elapsed_ns(ticket.admitted_at, now));
           }
-          try {
-            if constexpr (fault::kEnabled) {
-              if (state->faults) {
-                state->faults->maybe_slow_task();
-                state->faults->maybe_throw_leaf();
+          if (started != Ticket::kNeverStarted) {
+            try {
+              if constexpr (fault::kEnabled) {
+                if (state->faults) {
+                  state->faults->maybe_slow_task();
+                  state->faults->maybe_throw_leaf();
+                }
               }
-            }
-            run_plan_task(plan, unit.local, r.alpha, r.a, r.c, ctx);
-          } catch (...) {
-            bool claimed = false;
-            if (state->failed[req].compare_exchange_strong(claimed, true,
-                                                           std::memory_order_relaxed)) {
-              state->errors[static_cast<std::size_t>(req)] = std::current_exception();
+              run_plan_task(plan, unit.local, r.alpha, r.a, r.c, ctx);
+            } catch (...) {
+              bool claimed = false;
+              if (state->failed[req].compare_exchange_strong(claimed, true,
+                                                             std::memory_order_relaxed)) {
+                state->errors[static_cast<std::size_t>(req)] = std::current_exception();
+              }
             }
           }
         }
       }
       if (state->remaining[req].fetch_sub(1, std::memory_order_acq_rel) == 1) {
         if (server->claim_and_release(ticket)) {
+          if (ticket.cancel.load(std::memory_order_acquire) != CancelReason::kNone) {
+            server->fail_cancelled(ticket);
+            continue;
+          }
           server->completed_.fetch_add(1, std::memory_order_relaxed);
           const std::int64_t started = ticket.started_ns.load(std::memory_order_acquire);
           if (started >= 0) {

@@ -61,25 +61,41 @@ enum class AdmissionPolicy {
   kReject,
   /// Settle the oldest admitted requests whose deadlines already expired
   /// with DeadlineExceeded to free capacity; reject if nothing is
-  /// sheddable. Never sheds unexpired work.
+  /// sheddable. Never sheds unexpired work. An expired request whose
+  /// compute already began is cancelled instead (its remaining units
+  /// skip) and frees its slot when its running units exit.
   kShedOldest,
 };
 
 namespace detail {
 
+/// Why a request stopped early; kNone while it may still complete.
+enum class CancelReason { kNone, kDeadline, kShed, kShutdown };
+
 /// Per-request settle state shared by the task path, the deadline check,
 /// the shed scan, and the destructor sweep. Whoever wins the `settled` CAS
 /// owns the promise and must release the request's admission slot.
+///
+/// An early settle (deadline / shed / shutdown) must not free a request
+/// whose units may still be writing its C. The canceller records the
+/// reason, then claims the not-started state (started_ns -1 ->
+/// kNeverStarted): if that CAS wins, no unit has computed and none can,
+/// so it settles at once; otherwise the unit that takes the request's
+/// remaining count to zero settles it with the recorded reason.
 struct RequestTicket {
+  /// started_ns once a canceller has claimed the not-started state.
+  static constexpr std::int64_t kNeverStarted = -2;
+
   std::promise<void> promise;
   std::atomic<bool> settled{false};
-  /// Set after an early settle (shed / deadline / shutdown): tasks that
-  /// observe it skip their compute entirely.
-  std::atomic<bool> cancelled{false};
+  /// First early-settle cause (CAS from kNone); units that observe it
+  /// skip their compute, and the settle raises the matching error.
+  std::atomic<CancelReason> cancel{CancelReason::kNone};
   std::chrono::steady_clock::time_point deadline = kNoDeadline;
   std::chrono::steady_clock::time_point admitted_at{};
-  /// steady_clock nanos when the request's first task began computing;
-  /// -1 until then. Claimed by CAS so queue-wait is recorded once.
+  /// steady_clock nanos when the request's first unit began computing;
+  /// -1 until then, kNeverStarted after a canceller claimed it. Claimed by
+  /// CAS so queue-wait is recorded once and no unit starts after a claim.
   std::atomic<std::int64_t> started_ns{-1};
 };
 
@@ -120,9 +136,9 @@ class Server {
   /// blocked/new submissions throw ServerShutdown, and the destructor
   /// waits for every admitted batch to retire before the pool joins — so
   /// no task can touch server state, or a client's a/c buffers, after
-  /// ~Server returns. Requests whose compute already began still finish
-  /// that compute (a GEMM is never interrupted mid-write) but settle with
-  /// ServerShutdown regardless.
+  /// ~Server returns. A request whose compute already began lets its
+  /// running units finish (a GEMM is never interrupted mid-write), skips
+  /// the rest, and settles with ServerShutdown when its last unit exits.
   ~Server();
 
   /// Admit one request. `a` and `c` must stay valid until the returned
@@ -188,6 +204,7 @@ class Server {
 
  private:
   using Ticket = detail::RequestTicket;
+  using CancelReason = detail::CancelReason;
   using Clock = std::chrono::steady_clock;
 
   /// Pass the admission gate for a batch of `nreq` requests; returns the
@@ -197,12 +214,22 @@ class Server {
   Clock::time_point admit(std::size_t nreq);
   /// Roll back an admit() whose batch failed validation/planning.
   void unadmit(std::size_t nreq);
-  /// Settle every ledger ticket whose deadline has passed with
-  /// DeadlineExceeded; returns how many were shed.
+  /// Cancel every ledger ticket whose deadline has passed; those no unit
+  /// has started settle with DeadlineExceeded now, the rest when their
+  /// last unit exits. Returns how many settled now (capacity freed).
   std::size_t shed_expired(Clock::time_point now) ATALIB_REQUIRES(gate_mu_);
-  /// Win the settle CAS or return false. The winner's slot release +
-  /// ledger trim happens here too (under gate_mu_).
+  /// Record `why` (the first cause wins) and try to claim the not-started
+  /// state. True iff no unit has begun computing and none can, so the
+  /// caller may settle the ticket at once (see RequestTicket).
+  static bool cancel(Ticket& t, CancelReason why);
+  /// Win the settle CAS or return false.
+  static bool claim(Ticket& t);
+  /// claim(), plus the winner's slot release + ledger trim (under
+  /// gate_mu_).
   bool claim_and_release(Ticket& t);
+  /// Settle a cancelled ticket whose claim the caller won: raise the error
+  /// for its recorded reason and count it.
+  void fail_cancelled(Ticket& t);
   /// Called by the last task of a batch: the final server-state touch of
   /// any admitted batch — ~Server waits for queued_batches_ == 0, so the
   /// server outlives every task-side access.

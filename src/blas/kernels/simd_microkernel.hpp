@@ -5,10 +5,24 @@
 // compiled under -mavx2, -mavx512f, or aarch64 NEON yields the matching
 // machine code, so one source serves every tier. VL is the vector length in
 // elements, MR the tile rows, NV the vectors per row (NR = VL * NV). The
-// k-loop keeps MR*NV vector accumulators live and does one broadcast of A
-// plus NV loads of B per step; with -mfma / -ffp-contract=fast the
-// multiply-add contracts to FMA. Loads/stores go through memcpy so packed
-// panels and C rows need no alignment and no aliasing blessing.
+// k-loop keeps MR*NV vector accumulators live and issues NV loads of B plus
+// one broadcast-from-memory of each A value per step; with -mfma /
+// -ffp-contract=fast the multiply-add contracts to FMA. Loads/stores go
+// through memcpy so packed panels and C rows need no alignment and no
+// aliasing blessing.
+//
+// Codegen rules (DESIGN.md §2, checked by tools/check_microkernel_asm.py):
+// - A enters each FMA as a scalar (`a[r] * bv[j]`), so the compiler emits a
+//   load-port broadcast (`vbroadcastsd mem` / an embedded `{1to8}`) rather
+//   than one vector load of all MR values plus a per-row shuffle, which would
+//   compete with FMA for the shuffle port.
+// - `acc` is only ever indexed by compile-time constants in fully unrolled
+//   loops, so it lives in registers for the whole call: no zeroing through
+//   memory, no spill around the writeback. The ragged writeback copies it to
+//   a local tile first, inside its own branch, so the runtime-indexed scalar
+//   loop never forces the accumulators into memory.
+// Arithmetic per lane: acc = fma(a, b, acc) in k order, then
+// c = fma(alpha, acc, c) — the same on every tier and every tile shape.
 
 #include "matrix/view.hpp"
 
@@ -24,37 +38,46 @@ void simd_microkernel(index_t kc, T alpha, const T* ap, const T* bp, T* c, index
     __builtin_memcpy(&v, p, sizeof(V));
     return v;
   };
-  const auto splat = [](T x) {
-    V v;
-    for (int l = 0; l < VL; ++l) v[l] = x;
-    return v;
-  };
 
-  V acc[MR][NV] = {};
+  V acc[MR][NV];
+#pragma GCC unroll 64
+  for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 64
+    for (int j = 0; j < NV; ++j) acc[r][j] = V{};
+  }
   const T* a = ap;
   const T* b = bp;
   for (index_t k = 0; k < kc; ++k, a += MR, b += NR) {
     V bv[NV];
+#pragma GCC unroll 64
     for (int j = 0; j < NV; ++j) bv[j] = load(b + j * VL);
+#pragma GCC unroll 64
     for (int r = 0; r < MR; ++r) {
-      const V av = splat(a[r]);
-      for (int j = 0; j < NV; ++j) acc[r][j] += av * bv[j];
+#pragma GCC unroll 64
+      for (int j = 0; j < NV; ++j) acc[r][j] += a[r] * bv[j];
     }
   }
 
   if (mr == MR && nr == NR) {
-    const V va = splat(alpha);
+#pragma GCC unroll 64
     for (int r = 0; r < MR; ++r) {
       T* crow = c + r * ldc;
+#pragma GCC unroll 64
       for (int j = 0; j < NV; ++j) {
         V cv = load(crow + j * VL);
-        cv += va * acc[r][j];
+        cv += alpha * acc[r][j];
         __builtin_memcpy(crow + j * VL, &cv, sizeof(V));
       }
     }
   } else {
+    T tile[MR * NR];
+#pragma GCC unroll 64
+    for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 64
+      for (int j = 0; j < NV; ++j) __builtin_memcpy(tile + r * NR + j * VL, &acc[r][j], sizeof(V));
+    }
     for (index_t r = 0; r < mr; ++r) {
-      for (index_t j = 0; j < nr; ++j) c[r * ldc + j] += alpha * acc[r][j / VL][j % VL];
+      for (index_t j = 0; j < nr; ++j) c[r * ldc + j] += alpha * tile[r * NR + j];
     }
   }
 }

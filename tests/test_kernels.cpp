@@ -6,11 +6,15 @@
 // Inputs are small integers, so every product and partial sum is exactly
 // representable in float and double: FMA contraction, accumulation order,
 // and blocking differences cannot round, and any mismatch is a real
-// packing/microkernel/dispatch bug, not noise.
+// packing/microkernel/dispatch bug, not noise. The one exception is the
+// arithmetic-contract test, which drives each SIMD register tile directly
+// with real-valued panels, where rounding does show.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <optional>
 #include <vector>
 
@@ -127,6 +131,46 @@ void expect_syrk_matches_scalar(Isa isa) {
   }
 }
 
+/// The SIMD tiles' arithmetic contract, checked bitwise on random
+/// non-integer panels: each output lane is acc = fma(a, b, acc) over k in
+/// order, then c = fma(alpha, acc, c), and nothing outside the valid
+/// mr x nr corner of C is written. Covers kc in {1, 3, 17, KC}, every mix
+/// of full and ragged mr/nr, alpha != 1, and ldc > NR.
+template <typename T>
+void expect_tile_matches_fma_chain(Isa isa) {
+  const kn::KernelConfig<T>& cfg = kn::config_for<T>(isa);
+  const index_t MR = cfg.uk.mr, NR = cfg.uk.nr, ldc = NR + 5;
+  const T alpha = T(0.7);
+  std::uint64_t seed = 5000;
+  for (const index_t kc : {index_t{1}, index_t{3}, index_t{17}, cfg.blocks.kc}) {
+    for (const index_t mr : {index_t{1}, MR - 1, MR}) {
+      for (const index_t nr : {index_t{1}, NR - 1, NR}) {
+        // Packed panels as pack_a/pack_b lay them out, edges zero-padded.
+        auto ap = random_uniform<T>(kc, MR, seed++);
+        auto bp = random_uniform<T>(kc, NR, seed++);
+        for (index_t k = 0; k < kc; ++k) {
+          for (index_t r = mr; r < MR; ++r) ap(k, r) = T(0);
+          for (index_t j = nr; j < NR; ++j) bp(k, j) = T(0);
+        }
+        const auto c0 = random_uniform<T>(MR, ldc, seed++);
+        auto expected = c0.clone();
+        for (index_t r = 0; r < mr; ++r) {
+          for (index_t j = 0; j < nr; ++j) {
+            T acc = T(0);
+            for (index_t k = 0; k < kc; ++k) acc = std::fma(ap(k, r), bp(k, j), acc);
+            expected(r, j) = std::fma(alpha, acc, c0(r, j));
+          }
+        }
+        auto c = c0.clone();
+        cfg.uk.fn(kc, alpha, ap.data(), bp.data(), c.data(), ldc, mr, nr);
+        ASSERT_EQ(std::memcmp(c.data(), expected.data(), sizeof(T) * MR * ldc), 0)
+            << "isa=" << kn::isa_name(isa) << " kc=" << kc << " mr=" << mr << " nr=" << nr
+            << " max diff=" << max_abs_diff<T>(c.const_view(), expected.const_view());
+      }
+    }
+  }
+}
+
 TEST(KernelRegistry, ScalarIsAlwaysCompiledAndLast) {
   const auto& kernels = kn::compiled_kernels();
   ASSERT_FALSE(kernels.empty());
@@ -192,6 +236,17 @@ TEST(Kernels, SyrkDoubleBitwiseMatchesScalarAndSkipsUpperTriangle) {
 
 TEST(Kernels, SyrkFloatBitwiseMatchesScalarAndSkipsUpperTriangle) {
   for (const Isa isa : simd_isas()) expect_syrk_matches_scalar<float>(isa);
+}
+
+// The scalar tile is excluded: it is built without FMA (separate multiply
+// and add, two roundings), so it does not meet this contract — most of
+// these cases differ from the fma chain in the last bit. Its agreement
+// with the SIMD tiers is only claimed on exact (integer) inputs above.
+TEST(Kernels, SimdTilesMatchFmaChainBitwiseOnRealInputs) {
+  for (const Isa isa : simd_isas()) {
+    expect_tile_matches_fma_chain<double>(isa);
+    expect_tile_matches_fma_chain<float>(isa);
+  }
 }
 
 TEST(Kernels, ScalarPathMatchesNaiveReferenceExactly) {

@@ -419,6 +419,61 @@ TEST(ServerOverload, DeadlineExpiredInQueueSkipsLeafGemms) {
   EXPECT_EQ(max_abs_diff_lower<double>(c.const_view(), sentinel.const_view()), 0.0);
 }
 
+TEST(ServerOverload, DeadlineSettlesOnlyAfterRunningStripeExits) {
+  // A two-stripe request: one stripe starts computing before its deadline;
+  // the other waits behind a blocked worker until the deadline has passed.
+  // The expired stripe must not settle the future while its sibling is
+  // still writing C — a client that frees C on DeadlineExceeded would
+  // race it. So C as the client sees it the moment the future is ready
+  // must already be C as the retired batch left it.
+  api::Server::Options sopts;
+  sopts.threads = 3;  // 3 slots = 2 workers: one runs a stripe, one is held
+  api::Server server(sopts);
+  const auto a = random_uniform<double>(4096, 512, 24);
+  const auto opts = shared_opts(2, 1);  // two stripes
+  Clock::duration full = Clock::duration::max();
+  for (int rep = 0; rep < 3; ++rep) {
+    // Warm the plan and workspaces; time the whole request, both stripes
+    // running side by side, to size the deadline against one stripe.
+    auto c0 = Matrix<double>::zeros(512, 512);
+    const auto t0 = Clock::now();
+    server.submit(1.0, a.const_view(), c0.view(), opts).get();
+    if (rep > 0) full = std::min(full, Clock::now() - t0);
+  }
+  const auto before = server.stats();
+
+  WorkerBlocker blocker;
+  blocker.install(server.executor());
+  auto c = Matrix<double>::zeros(512, 512);
+  auto dopts = opts;
+  dopts.deadline = Clock::now() + full / 4;
+  auto fut = server.submit(1.0, a.const_view(), c.view(), dopts);
+  // A unit records queue-wait only when it starts before the deadline.
+  bool started = false;
+  while (!started && Clock::now() < dopts.deadline) {
+    started = server.stats().queue_wait.count != before.queue_wait.count;
+    std::this_thread::yield();
+  }
+  if (!started) {
+    blocker.release();
+    blocker.done.get();
+    GTEST_SKIP() << "the first stripe did not start before the deadline";
+  }
+  std::this_thread::sleep_until(dopts.deadline);
+  blocker.release();  // the held stripe now runs, sees the deadline, skips
+
+  fut.wait();
+  const auto at_ready = c.clone();
+  blocker.done.get();
+  wait_drained(server);
+  EXPECT_THROW(fut.get(), api::DeadlineExceeded);
+  EXPECT_EQ(max_abs_diff<double>(at_ready.const_view(), c.const_view()), 0.0)
+      << "C changed after the future settled: a stripe was still writing it";
+  const auto after = server.stats();
+  EXPECT_EQ(after.deadline_expired - before.deadline_expired, 1u);
+  EXPECT_EQ(after.completed, before.completed);
+}
+
 TEST(ServerOverload, ShedOldestFreesCapacityForNewWork) {
   // Gate of one in-flight request, kShedOldest. R1 is admitted with a
   // short deadline and stuck behind a blocked worker; once its deadline

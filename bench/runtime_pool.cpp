@@ -3,18 +3,20 @@
 //
 // The serving workload the ROADMAP targets is "the same Gram matrix shape,
 // over and over": per-call thread creation and per-task workspace mallocs
-// are pure overhead there. This bench runs the identical AtA-S schedule
-// through the library's ThreadPool and through the fork-join comparator
-// defined below, and reports per-call latency plus the pool's
-// workspace-growth counters — after the warm-up call the pool must perform
-// zero slab allocations (the "no malloc on the steady-state hot path"
-// acceptance check prints at the bottom).
+// are pure overhead there. This bench runs the identical cached AtA-S plan
+// through the library's ThreadPool (api::execute) and through the
+// fork-join comparator defined below, and reports per-call latency plus
+// the pool's workspace-growth counters — after the warm-up call the pool
+// must perform zero slab allocations (the "no malloc on the steady-state
+// hot path" acceptance check prints at the bottom).
 
 #include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "api/execute.hpp"
+#include "api/plan_cache.hpp"
 #include "bench_common.hpp"
 #include "matrix/matrix.hpp"
 #include "parallel/ata_shared.hpp"
@@ -28,49 +30,38 @@ namespace {
 
 using namespace atalib;
 
-/// The paper's original execution scheme: fork threads, run the parallel
-/// for, join. Nothing survives between calls except the per-slot
-/// workspaces, kept so the A/B isolates thread management rather than
-/// allocator behavior. OpenMP when compiled in, a serial loop otherwise.
-/// Serves one client thread; placement hints are ignored.
-class ForkJoinExecutor final : public runtime::Executor {
- public:
-  explicit ForkJoinExecutor(int threads)
-      : slots_(static_cast<std::size_t>(std::max(1, threads))) {}
-
-  int concurrency() const override { return static_cast<int>(slots_.size()); }
 #ifdef ATALIB_HAVE_OPENMP
-  const char* name() const override { return "forkjoin-omp"; }
+constexpr const char* kForkJoinName = "forkjoin-omp";
 #else
-  const char* name() const override { return "forkjoin-serial"; }
+constexpr const char* kForkJoinName = "forkjoin-serial";
 #endif
 
-  void run(int ntasks, const runtime::TaskFn& fn, int width = 0,
-           const runtime::NodeHintFn& /*preferred_node*/ = {}) override {
-    int nthreads = std::min(concurrency(), ntasks);
-    if (width > 0) nthreads = std::min(nthreads, width);
+/// The paper's original execution scheme: fork min(P, tasks) threads, run
+/// the plan's tasks as a static parallel for, join. Nothing survives
+/// between calls except one workspace per thread (`slots`), kept so the
+/// A/B isolates thread management rather than allocator behavior. OpenMP
+/// when compiled in, a serial loop otherwise.
+void run_forkjoin(const api::AtaPlan& plan, ConstMatrixView<double> a, MatrixView<double> c,
+                  std::vector<runtime::Workspace>& slots) {
+  api::check_shared(plan, a, c);
+  const int ntasks = static_cast<int>(plan.schedule().tasks.size());
+  auto task = [&](int t, runtime::TaskContext& ctx) {
+    api::run_plan_task(plan, t, 1.0, a, c, ctx);
+  };
 #ifdef ATALIB_HAVE_OPENMP
+  const int nthreads = std::min({static_cast<int>(slots.size()), ntasks, plan.key().p});
 #pragma omp parallel num_threads(nthreads) if (nthreads > 1)
-    {
-      const int slot = omp_get_thread_num();
-      runtime::TaskContext ctx{slot, &slots_[static_cast<std::size_t>(slot)]};
+  {
+    const int slot = omp_get_thread_num();
+    runtime::TaskContext ctx{slot, &slots[static_cast<std::size_t>(slot)]};
 #pragma omp for schedule(static)
-      for (int t = 0; t < ntasks; ++t) fn(t, ctx);
-    }
+    for (int t = 0; t < ntasks; ++t) task(t, ctx);
+  }
 #else
-    (void)nthreads;
-    runtime::TaskContext ctx{0, &slots_[0]};
-    for (int t = 0; t < ntasks; ++t) fn(t, ctx);
+  runtime::TaskContext ctx{0, &slots[0]};
+  for (int t = 0; t < ntasks; ++t) task(t, ctx);
 #endif
-  }
-
-  void warm_workspaces(std::size_t float_elems, std::size_t double_elems) override {
-    for (auto& slot : slots_) slot.warm(float_elems, double_elems);
-  }
-
- private:
-  std::vector<runtime::Workspace> slots_;
-};
+}
 
 std::size_t pool_grows(runtime::ThreadPool& pool) {
   std::size_t total = 0;
@@ -128,24 +119,34 @@ int main(int argc, char** argv) {
   opts.threads = threads;
   opts.oversub = oversub;
   opts.recurse = bench::recurse_from_flags(flags);
+  validate(opts);
 
   runtime::ThreadPool pool(threads);
-  ForkJoinExecutor forkjoin(threads);
+  std::vector<runtime::Workspace> forkjoin_slots(static_cast<std::size_t>(std::max(1, threads)));
 
-  auto call_with = [&](runtime::Executor& exec) {
-    opts.executor = &exec;
+  // Both engines fetch the plan from the process-wide cache on every call
+  // (as ata_shared does), so the A/B differs only in who runs the tasks.
+  auto fetch_plan = [&] {
+    return api::PlanCache::global().get_or_build(
+        api::shared_plan_key(api::Dtype::kF64, m, n, opts));
+  };
+  auto call_pool = [&] {
     fill_view(c.view(), 0.0);
-    ata_shared(1.0, a.const_view(), c.view(), opts);
+    api::execute(*fetch_plan(), 1.0, a.const_view(), c.view(), &pool);
+  };
+  auto call_forkjoin = [&] {
+    fill_view(c.view(), 0.0);
+    run_forkjoin(*fetch_plan(), a.const_view(), c.view(), forkjoin_slots);
   };
 
   // Warm both engines once (first pool call grows the worker arenas).
-  call_with(pool);
-  call_with(forkjoin);
+  call_pool();
+  call_forkjoin();
   const std::size_t grows_warm = pool_grows(pool);
 
-  const Result rp = time_calls([&] { call_with(pool); }, calls);
+  const Result rp = time_calls(call_pool, calls);
   const std::size_t grows_steady = pool_grows(pool) - grows_warm;
-  const Result rf = time_calls([&] { call_with(forkjoin); }, calls);
+  const Result rf = time_calls(call_forkjoin, calls);
 
   const metrics::NumaPoolStats numa = pool.numa_stats();
 
@@ -154,10 +155,10 @@ int main(int argc, char** argv) {
               std::to_string(calls) + " calls");
   table.set_header({"engine", "mean ms/call", "min ms/call", "steals (local/remote)",
                     "arena grows (steady)"});
-  table.add_row({pool.name(), Table::num(rp.mean_ms, 3), Table::num(rp.min_ms, 3),
+  table.add_row({"pool", Table::num(rp.mean_ms, 3), Table::num(rp.min_ms, 3),
                  std::to_string(numa.local_steals) + "/" + std::to_string(numa.remote_steals),
                  std::to_string(grows_steady)});
-  table.add_row({forkjoin.name(), Table::num(rf.mean_ms, 3), Table::num(rf.min_ms, 3), "-",
+  table.add_row({kForkJoinName, Table::num(rf.mean_ms, 3), Table::num(rf.min_ms, 3), "-",
                  "-"});
   table.print();
   std::printf("pool topology: %s\n", numa.to_string().c_str());

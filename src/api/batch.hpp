@@ -65,8 +65,8 @@ struct BatchPlan {
 /// Group `requests` by plan key through `cache` and validate every request
 /// against its plan (std::invalid_argument on any dtype/shape mismatch —
 /// thrown before anything executes, so a rejected batch is all-or-nothing).
-/// `opts` must already be validated; opts.executor is ignored. Cache
-/// accounting: one hit-or-miss per distinct shape in the batch.
+/// `opts` must already be validated. Cache accounting: one hit-or-miss per
+/// distinct shape in the batch.
 template <typename T>
 BatchPlan build_batch_plan(PlanCache& cache, std::span<const AtaRequest<T>> requests,
                            const SharedOptions& opts);

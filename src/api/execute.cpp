@@ -149,13 +149,13 @@ void check_shared(const AtaPlan& plan, ConstMatrixView<T> a, MatrixView<T> c) {
   }
 }
 
-void warm_for(const AtaPlan& plan, runtime::Executor& exec) {
+void warm_for(const AtaPlan& plan, runtime::ThreadPool& pool) {
   const std::size_t bound = plan.workspace_bound();
   if (bound == 0) return;  // the BLAS engine is allocation-free
   if (plan.key().dtype == Dtype::kF32) {
-    exec.warm_workspaces(bound, 0);
+    pool.warm_workspaces(bound, 0);
   } else {
-    exec.warm_workspaces(0, bound);
+    pool.warm_workspaces(0, bound);
   }
 }
 
@@ -173,27 +173,32 @@ void run_plan_task(const AtaPlan& plan, int task, T alpha, ConstMatrixView<T> a,
 
 template <typename T>
 void execute(const AtaPlan& plan, T alpha, ConstMatrixView<T> a, MatrixView<T> c,
-             runtime::Executor* executor) {
+             runtime::ThreadPool* pool_in) {
   check_shared(plan, a, c);
-  runtime::Executor& exec = executor ? *executor : runtime::ThreadPool::global();
+  runtime::ThreadPool& pool = pool_in ? *pool_in : runtime::ThreadPool::global();
   const int ntasks = static_cast<int>(plan.schedule().tasks.size());
-  // A one-task or width-1 batch executes inline/serial on one workspace
-  // that grows monotonically on first use — pre-growing every pool slot
-  // for it would pin slots-many full-size slabs that never see a task.
-  if (ntasks > 1 && plan.key().p > 1) warm_for(plan, exec);
-  // Width p is the planned thread count; the pool treats it as advisory
-  // (see Executor::run) — its idle workers may still steal, which is
-  // always safe on write-disjoint tasks.
+  if (ntasks <= 1 || plan.key().p == 1) {
+    // A P = 1 plan is serial by definition (its oversub only splits the
+    // work, it asks for no concurrency): submit it as ONE task, which the
+    // pool runs inline on the calling thread's workspace. That workspace
+    // grows on first use — pre-growing every pool slot here would pin
+    // slots-many full-size slabs that never see a task.
+    pool.run(1, [&](int, runtime::TaskContext& ctx) {
+      for (int t = 0; t < ntasks; ++t) run_plan_task(plan, t, alpha, a, c, ctx);
+    });
+    return;
+  }
+  warm_for(plan, pool);
   auto body = [&](int t, runtime::TaskContext& ctx) {
     run_plan_task(plan, t, alpha, a, c, ctx);
   };
   // Pin the plan's write-disjoint C stripes to nodes round-robin so each
-  // stripe's packed panels and output pages stay node-local; flat
-  // executors skip the hint machinery entirely.
-  const int nnodes = exec.numa_nodes();
+  // stripe's packed panels and output pages stay node-local; a flat pool
+  // skips the hint machinery entirely.
+  const int nnodes = pool.numa_nodes();
   runtime::NodeHintFn hint;
   if (nnodes > 1) hint = [&plan, nnodes](int t) { return plan.preferred_node(t, nnodes); };
-  exec.run(ntasks, body, plan.key().p, hint);
+  pool.run(ntasks, body, hint);
 }
 
 template <typename T>
@@ -258,7 +263,7 @@ dist::DistResult<T> execute_dist(const AtaPlan& plan, T alpha, const Matrix<T>& 
 
 #define ATALIB_API_EXECUTE_INST(T)                                                  \
   template void execute<T>(const AtaPlan&, T, ConstMatrixView<T>, MatrixView<T>,    \
-                           runtime::Executor*);                                     \
+                           runtime::ThreadPool*);                                   \
   template SharedProfile execute_profile<T>(const AtaPlan&, T, ConstMatrixView<T>,  \
                                             MatrixView<T>);                         \
   template dist::DistResult<T> execute_dist<T>(const AtaPlan&, T, const Matrix<T>&,  \

@@ -68,8 +68,8 @@ struct PlanKeyHash {
   std::size_t operator()(const PlanKey& k) const noexcept;
 };
 
-/// Key for an AtA-S request. `opts` must already be validated; the
-/// executor field is an execution detail and not part of the key.
+/// Key for an AtA-S request. `opts` must already be validated; its QoS
+/// fields (priority, deadline) are not part of the key.
 PlanKey shared_plan_key(Dtype dtype, index_t m, index_t n, const SharedOptions& opts);
 
 /// Key for an AtA-D request.
@@ -94,14 +94,14 @@ class AtaPlan {
   /// Per-task arena high-water marks (largest leaf_op_workspace over the
   /// task's ops). Indexed like schedule().tasks.
   const std::vector<index_t>& task_workspace() const { return task_workspace_; }
-  /// Max over task_workspace() — what every executor slot is warmed to
+  /// Max over task_workspace() — what every pool slot is warmed to
   /// (stealing may route any task to any slot). For dist plans: the
   /// per-rank bound (entry-region accumulator plus leaf scratch).
   std::size_t workspace_bound() const { return workspace_bound_; }
-  /// Home NUMA node for shared-mode task `task` on an executor reporting
+  /// Home NUMA node for shared-mode task `task` on a pool reporting
   /// `nnodes` nodes: plain round-robin over the write-disjoint C stripes.
-  /// Computed against the executor at execute time rather than stored,
-  /// because plans are cached by *shape* — one plan may serve executors
+  /// Computed against the pool at execute time rather than stored,
+  /// because plans are cached by *shape* — one plan may serve pools
   /// with different topologies (real pool, fake-topology pool) within a
   /// process. Deterministic, so per-node scheduled counts are a
   /// test oracle (tests/test_numa.cpp).

@@ -35,7 +35,7 @@ std::uint64_t elapsed_ns(SteadyClock::time_point from, SteadyClock::time_point t
 }  // namespace
 
 Server::Server(const Options& opts)
-    : cache_(opts.plan_capacity, opts.plan_shards),
+    : cache_(opts.plan_capacity),
       max_inflight_(opts.max_inflight_requests),
       max_batches_(opts.max_queued_batches),
       policy_(opts.admission),
@@ -301,7 +301,6 @@ struct BatchState {
 template <typename T>
 std::vector<std::future<void>> Server::submit_batch(std::span<const AtaRequest<T>> requests,
                                                     SharedOptions opts) {
-  opts.executor = nullptr;  // requests always execute on the server's pool
   validate(opts);
   if (requests.empty()) return {};
   const std::size_t nreq = requests.size();

@@ -113,9 +113,6 @@ class Server {
     int threads = 0;
     /// LRU capacity of the plan cache (plans, not bytes).
     std::size_t plan_capacity = PlanCache::kDefaultCapacity;
-    /// Independent LRU+mutex shards of the plan cache (clamped to
-    /// [1, plan_capacity]); see PlanCache.
-    std::size_t plan_shards = PlanCache::kDefaultShards;
     /// Admission bound on requests admitted but not yet settled.
     std::size_t max_inflight_requests = kUnlimited;
     /// Admission bound on batches admitted but not yet retired (a submit()
@@ -143,8 +140,7 @@ class Server {
 
   /// Admit one request. `a` and `c` must stay valid until the returned
   /// future is ready, and `c` must not alias any other in-flight request's
-  /// output. `opts.executor` is ignored (the server's pool executes);
-  /// `opts.threads`/`oversub`/`engine`/`recurse` select the plan;
+  /// output. `opts.threads`/`oversub`/`engine`/`recurse` select the plan;
   /// `opts.priority`/`opts.deadline` are this request's QoS. Warm requests
   /// return without blocking; cold ones pay planning and workspace growth
   /// in line (see the class comment). Throws std::invalid_argument on bad
@@ -177,7 +173,7 @@ class Server {
   /// bad request throws std::invalid_argument before anything is enqueued
   /// (the batch's admission is rolled back). Buffer-lifetime rules match
   /// submit(), per request. Requests of one batch share `opts` (and a
-  /// scalar type); opts.executor is ignored.
+  /// scalar type).
   template <typename T>
   std::vector<std::future<void>> submit_batch(std::span<const AtaRequest<T>> requests,
                                               SharedOptions opts);

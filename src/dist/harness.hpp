@@ -31,11 +31,11 @@ void run_ranks(DistResult<T>& res, int ranks, const Timer& wall, std::size_t war
                std::size_t warm_double, Body&& body) {
   RankPoolLease lease(ranks);
   if (warm_float > 0 || warm_double > 0) {
-    lease.executor().warm_workspaces(warm_float, warm_double);
+    lease.pool().warm_workspaces(warm_float, warm_double);
   }
   mpisim::Communicator comm(ranks);
   std::vector<double> busy(static_cast<std::size_t>(ranks), 0.0);
-  comm.run_on(lease.executor(), [&](mpisim::RankCtx& ctx, runtime::TaskContext& tctx) {
+  comm.run_on(lease.pool(), [&](mpisim::RankCtx& ctx, runtime::TaskContext& tctx) {
     ThreadCpuTimer timer;
     body(ctx, tctx);
     busy[static_cast<std::size_t>(ctx.rank())] = timer.seconds();

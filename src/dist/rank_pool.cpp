@@ -28,17 +28,17 @@ std::unique_ptr<runtime::ThreadPool>& pool_slot() ATALIB_REQUIRES(g_pool_mu) {
 // The lease holds g_pool_mu from constructor to destructor — an object
 // lifetime, not a lexical scope, which the clang analysis cannot model
 // (DESIGN.md §9); hence the no-analysis escapes with the discipline stated
-// here: ctor acquires, executor() requires, the std::unique_lock member
+// here: ctor acquires, pool() requires, the std::unique_lock member
 // releases on destruction.
 RankPoolLease::RankPoolLease(int ranks) ATALIB_NO_THREAD_SAFETY_ANALYSIS {
   if (ranks < 1) throw std::invalid_argument("RankPoolLease needs >= 1 rank");
   // Refuse nested acquisition BEFORE touching the mutex: a distributed
-  // entry point called from inside an executor task (including another
+  // entry point called from inside a pool task (including another
   // run's rank body, which holds this very lease) would self-deadlock on
   // g_pool_mu, and even if it didn't, a nested batch executes inline-serial.
   if (runtime::ThreadPool::current_thread_in_task()) {
     throw std::logic_error(
-        "distributed entry points cannot run inside an executor task (the "
+        "distributed entry points cannot run inside a pool task (the "
         "rank-pool lease is held by the enclosing run, and a nested batch "
         "would execute inline-serial)");
   }
@@ -50,7 +50,7 @@ RankPoolLease::RankPoolLease(int ranks) ATALIB_NO_THREAD_SAFETY_ANALYSIS {
   }
 }
 
-runtime::Executor& RankPoolLease::executor() ATALIB_NO_THREAD_SAFETY_ANALYSIS {
+runtime::ThreadPool& RankPoolLease::pool() ATALIB_NO_THREAD_SAFETY_ANALYSIS {
   // Valid by construction: the lease's lock_ holds g_pool_mu.
   return *pool_slot();
 }

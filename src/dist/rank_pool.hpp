@@ -1,10 +1,10 @@
 #pragma once
-// The process-wide rank pool: the runtime::Executor that mpisim rank
+// The process-wide rank pool: the runtime::ThreadPool that mpisim rank
 // bodies run on.
 //
 // Ranks block on recv, so a batch of R rank bodies needs R truly
-// concurrent slots — more than the hardware-sized default executor offers
-// for large P. The rank pool is a dedicated persistent ThreadPool grown to
+// concurrent slots — more than the hardware-sized global pool offers for
+// large P. The rank pool is a dedicated persistent ThreadPool grown to
 // the largest rank count ever requested: repeated distributed runs reuse
 // parked workers (no thread creation) and their per-slot Workspace arenas
 // (no leaf-compute mallocs once warm), exactly like the shared-memory
@@ -13,7 +13,7 @@
 #include <mutex>
 
 #include "common/thread_annotations.hpp"
-#include "runtime/executor.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace atalib::dist {
 
@@ -28,8 +28,8 @@ class RankPoolLease {
   RankPoolLease(const RankPoolLease&) = delete;
   RankPoolLease& operator=(const RankPoolLease&) = delete;
 
-  /// Executor with >= `ranks` slots, valid while the lease is held.
-  runtime::Executor& executor();
+  /// Pool with >= `ranks` slots, valid while the lease is held.
+  runtime::ThreadPool& pool();
 
  private:
   /// Holds the rank-pool mutex (an annotated atalib::Mutex) for the lease's

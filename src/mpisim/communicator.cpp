@@ -1,7 +1,6 @@
 #include "mpisim/communicator.hpp"
 
 #include <stdexcept>
-#include <thread>
 
 #include "runtime/thread_pool.hpp"
 
@@ -101,52 +100,33 @@ struct FirstError {
 
 }  // namespace
 
-void Communicator::run(const std::function<void(RankCtx&)>& fn) {
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(size_));
-  FirstError first;
-  for (int r = 0; r < size_; ++r) {
-    threads.emplace_back([&, r] {
-      RankCtx ctx(*this, r);
-      try {
-        guarded_rank([&] { fn(ctx); });
-      } catch (...) {
-        first.capture();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  first.rethrow_if_set();
-}
-
-void Communicator::run_on(runtime::Executor& exec,
+void Communicator::run_on(runtime::ThreadPool& pool,
                           const std::function<void(RankCtx&, runtime::TaskContext&)>& fn) {
-  if (exec.concurrency() < size_) {
+  if (pool.concurrency() < size_) {
     throw std::logic_error(
-        "Communicator::run_on: executor has fewer slots than ranks; blocking "
+        "Communicator::run_on: pool has fewer slots than ranks; blocking "
         "rank bodies would deadlock");
   }
   if (size_ > 1 && runtime::ThreadPool::current_thread_in_task()) {
     throw std::logic_error(
-        "Communicator::run_on: called from inside an executor task; a nested "
+        "Communicator::run_on: called from inside a pool task; a nested "
         "submission executes inline-serial and blocking rank bodies would "
         "deadlock");
   }
-  // Failures are collected here, not left to the executor: the executor
-  // would keep whichever exception landed first, which can be a secondary
+  // Failures are collected here, not left to the pool: the pool would keep
+  // whichever exception landed first, which can be a secondary
   // AbortedError rather than the rank failure that caused it.
   FirstError first;
-  exec.run(
-      size_,
-      [&](int task, runtime::TaskContext& tctx) {
-        RankCtx ctx(*this, task);
-        try {
-          guarded_rank([&] { fn(ctx, tctx); });
-        } catch (...) {
-          first.capture();
-        }
-      },
-      size_);
+  pool.run(size_, [&](int task, runtime::TaskContext& tctx) {
+    RankCtx ctx(*this, task);
+    try {
+      fn(ctx, tctx);
+    } catch (...) {
+      // Unblock peers waiting on this rank before recording the failure.
+      for (Mailbox& mb : mailboxes_) mb.poison();
+      first.capture();
+    }
+  });
   first.rethrow_if_set();
 }
 

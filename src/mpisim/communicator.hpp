@@ -1,12 +1,13 @@
 #pragma once
 // In-process message-passing runtime (the MPI substitute; see DESIGN.md).
 //
-// Each rank is a std::thread; ranks share no algorithm state — every matrix
-// block crosses rank boundaries as an explicit, counted message through a
-// tagged mailbox. Sends are buffered (payload copied into the destination
-// mailbox, sender never blocks), like MPI_Bsend, which keeps tree-structured
-// protocols trivially deadlock-free. Receives block until a message with a
-// matching (source, tag) arrives.
+// Each rank is one task of a runtime::ThreadPool batch with a slot per
+// rank; ranks share no algorithm state — every matrix block crosses rank
+// boundaries as an explicit, counted message through a tagged mailbox.
+// Sends are buffered (payload copied into the destination mailbox, sender
+// never blocks), like MPI_Bsend, which keeps tree-structured protocols
+// trivially deadlock-free. Receives block until a message with a matching
+// (source, tag) arrives.
 //
 // Tags are caller-chosen; (source, tag) pairs must be unique among in-flight
 // messages for a deterministic protocol, which all algorithms in dist/
@@ -21,7 +22,7 @@
 
 #include "common/thread_annotations.hpp"
 #include "mpisim/stats.hpp"
-#include "runtime/executor.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace atalib::mpisim {
 
@@ -33,7 +34,7 @@ struct Message {
 };
 
 /// Thrown out of a blocked recv when a peer rank failed and the
-/// communicator aborted the run (see Communicator::run). Catch-and-ignore
+/// communicator aborted the run (see Communicator::run_on). Catch-and-ignore
 /// is wrong — the original failure is rethrown to the run's caller.
 struct AbortedError : std::runtime_error {
   AbortedError() : std::runtime_error("mpisim: communicator aborted after a rank failure") {}
@@ -90,7 +91,7 @@ class RankCtx {
   int rank_;
 };
 
-/// The world: owns mailboxes, traffic counters, and the rank threads.
+/// The world: owns mailboxes and traffic counters.
 class Communicator {
  public:
   explicit Communicator(int size);
@@ -98,22 +99,17 @@ class Communicator {
   int size() const { return size_; }
   TrafficSnapshot traffic() const { return stats_.snapshot(); }
 
-  /// Run `fn(ctx)` on every rank (one thread per rank) and join. If any
-  /// rank throws, every mailbox is poisoned so peers blocked in recv wake
-  /// with AbortedError instead of hanging, and the *first* failure (never
-  /// the secondary AbortedErrors) is rethrown here.
-  void run(const std::function<void(RankCtx&)>& fn);
-
-  /// Run every rank as one batch on a runtime::Executor instead of
-  /// spawning fresh threads: rank r executes as task r and additionally
-  /// receives its slot's TaskContext (reusable Workspace arena). Rank
-  /// bodies BLOCK on recv, so the executor must guarantee one concurrent
-  /// slot per rank; `exec.concurrency() >= size()` is required (throws
-  /// std::logic_error otherwise) and only executors that run a
-  /// <= concurrency() batch fully concurrently are safe — the persistent
-  /// ThreadPool qualifies (see DESIGN.md §3), an OpenMP fork-join with a
-  /// static schedule does not.
-  void run_on(runtime::Executor& exec,
+  /// Run every rank as one batch on `pool` and return when all have
+  /// finished: rank r executes as task r and receives its slot's
+  /// TaskContext (reusable Workspace arena). Rank bodies BLOCK on recv, so
+  /// each needs a slot of its own: `pool.concurrency() >= size()` is
+  /// required, and so is a caller outside any pool task (both throw
+  /// std::logic_error otherwise; see the blocking-batch invariant in
+  /// runtime/thread_pool.hpp and DESIGN.md §3). If any rank throws, every
+  /// mailbox is poisoned so peers blocked in recv wake with AbortedError
+  /// instead of hanging, and the *first* failure (never the secondary
+  /// AbortedErrors) is rethrown here.
+  void run_on(runtime::ThreadPool& pool,
               const std::function<void(RankCtx&, runtime::TaskContext&)>& fn);
 
   // Internal transport (used by RankCtx).
@@ -122,18 +118,6 @@ class Communicator {
   Message recv_bytes(int self, int source, int tag, std::size_t elem_size);
 
  private:
-  /// Wrap a rank body so any failure poisons all mailboxes (unblocking
-  /// peers) before propagating.
-  template <typename Fn>
-  void guarded_rank(Fn&& fn) {
-    try {
-      fn();
-    } catch (...) {
-      for (Mailbox& mb : mailboxes_) mb.poison();
-      throw;
-    }
-  }
-
   int size_;
   std::vector<Mailbox> mailboxes_;
   TrafficStats stats_;

@@ -34,7 +34,7 @@ void ata_shared(T alpha, ConstMatrixView<T> a, MatrixView<T> c, const SharedOpti
   validate(opts);
   const auto plan = api::PlanCache::global().get_or_build(
       api::shared_plan_key(api::dtype_of<T>(), a.rows, a.cols, opts));
-  api::execute(*plan, alpha, a, c, opts.executor);
+  api::execute(*plan, alpha, a, c);
 }
 
 template <typename T>

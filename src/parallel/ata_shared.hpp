@@ -4,12 +4,13 @@
 // Phase 1 fetches the task tree — P' = oversub * P tasks with pairwise
 // disjoint C writes — from the process-wide plan cache (api/plan_cache.hpp;
 // built once per (dtype, m, n, P, oversub, engine, cut-offs) shape via
-// sched::build_shared_schedule). Phase 2 submits the
-// tasks to a runtime::Executor, by default the process-wide persistent
-// work-stealing thread pool (runtime/thread_pool.hpp), whose warm workers
-// and reusable per-worker workspace arenas make repeated calls
-// thread-creation- and malloc-free. Disjoint writes mean no locks and no
-// atomics on C — the paper's "perfect parallelism".
+// sched::build_shared_schedule). Phase 2 submits the tasks to the
+// process-wide persistent work-stealing thread pool
+// (runtime/thread_pool.hpp), whose warm workers and reusable per-worker
+// workspace arenas make repeated calls thread-creation- and malloc-free.
+// Callers that need a specific pool fetch the plan themselves and call
+// api::execute(plan, alpha, a, c, &pool). Disjoint writes mean no locks
+// and no atomics on C — the paper's "perfect parallelism".
 
 #include <chrono>
 #include <cstdint>
@@ -20,20 +21,16 @@
 
 namespace atalib {
 
-namespace runtime {
-class Executor;
-}
-
 /// "No deadline": requests default to this and are never expired.
 inline constexpr std::chrono::steady_clock::time_point kNoDeadline =
     std::chrono::steady_clock::time_point::max();
 
 struct SharedOptions {
   /// The paper's P: the task tree is built as if for this many threads.
-  /// Actual concurrency is min(P', executor slots).
+  /// Actual concurrency is min(P', pool slots).
   int threads = 1;
   /// Over-decomposition factor: build P' = oversub * threads tasks so a
-  /// work-stealing executor can rebalance uneven tasks or oversubscribed
+  /// work-stealing pool can rebalance uneven tasks or oversubscribed
   /// cores. 1 reproduces the paper's one-task-per-thread schedule.
   int oversub = 1;
   RecurseOptions recurse{};
@@ -51,8 +48,6 @@ struct SharedOptions {
   /// planner floors it at 2 — below m = 2n the recursion always wins);
   /// -1 = recursion only (forced-recursive plans, the bench/test control).
   index_t tall_skinny_ratio = 0;
-  /// Execution engine; null uses runtime::ThreadPool::global().
-  runtime::Executor* executor = nullptr;
   /// Serving-layer QoS (api::Server; DESIGN.md §10) — ignored by the
   /// direct ata_shared() call paths and deliberately NOT part of the plan
   /// key (api::shared_plan_key), so traffic at every priority shares one

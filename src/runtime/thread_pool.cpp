@@ -21,7 +21,7 @@ thread_local int tl_task_depth = 0;
 /// Depth of inline batch execution on the current thread (see run()).
 thread_local int tl_inline_depth = 0;
 
-/// Workspace for inline execution paths (re-entrant or width-1 batches).
+/// Workspace for inline execution paths (re-entrant or one-task batches).
 /// Thread-local so concurrent inline clients never share arenas, and
 /// persistent so even the inline path reuses its slab across calls.
 Workspace& inline_workspace() {
@@ -386,11 +386,10 @@ void ThreadPool::run_inline(int ntasks, const TaskFn& fn) {
   --tl_inline_depth;
 }
 
-void ThreadPool::run(int ntasks, const TaskFn& fn, int width,
-                     const NodeHintFn& preferred_node) {
+void ThreadPool::run(int ntasks, const TaskFn& fn, const NodeHintFn& preferred_node) {
   if (ntasks <= 0) return;
   const int nslots = concurrency();
-  if (tl_task_depth > 0 || nslots == 1 || ntasks == 1 || width == 1) {
+  if (tl_task_depth > 0 || nslots == 1 || ntasks == 1) {
     run_inline(ntasks, fn);
     return;
   }

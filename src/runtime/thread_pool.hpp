@@ -11,7 +11,7 @@
 // — that is the whole point versus a per-call fork-join.
 //
 // Two admission styles share the machinery:
-//   - run(ntasks, fn, width, preferred_node): blocking. The caller
+//   - run(ntasks, fn, preferred_node): blocking. The caller
 //     additionally participates as the dedicated caller slot (first-come
 //     among concurrent callers) and returns when its own batch has
 //     finished, rethrowing the batch's first task exception.
@@ -96,11 +96,11 @@ struct SubmitOptions {
   /// because it binds only the unhinted run() path, which always enqueues
   /// at priority 0.
   int priority = 0;
-  /// Per-task preferred-node hint (see Executor::run); empty = none.
+  /// Per-task preferred-node hint (see ThreadPool::run); empty = none.
   NodeHintFn preferred_node;
 };
 
-class ThreadPool final : public Executor {
+class ThreadPool {
  public:
   /// threads <= 0 selects std::thread::hardware_concurrency(). `threads`
   /// counts total execution slots: threads-1 persistent workers plus the
@@ -108,14 +108,17 @@ class ThreadPool final : public Executor {
   explicit ThreadPool(int threads = 0);
   /// Joins the workers. All batches must have completed (run() returned,
   /// submit() futures ready) before destruction.
-  ~ThreadPool() override;
+  ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int concurrency() const override { return static_cast<int>(queues_.size()); }
-  int numa_nodes() const override { return topo_.num_nodes(); }
-  const char* name() const override { return "pool"; }
+  /// Number of execution slots (upper bound on concurrency).
+  int concurrency() const { return static_cast<int>(queues_.size()); }
+  /// NUMA nodes the slots span: the probed (or ATALIB_FAKE_NUMA-synthesized)
+  /// topology, so planners can spread write-disjoint output stripes across
+  /// nodes (see run's `preferred_node`).
+  int numa_nodes() const { return topo_.num_nodes(); }
 
   /// The topology the pool grouped its slots by (probed, or synthesized
   /// from ATALIB_FAKE_NUMA, at construction).
@@ -127,17 +130,17 @@ class ThreadPool final : public Executor {
     return node_of_slot_[static_cast<std::size_t>(slot)];
   }
 
-  /// Runs the batch; rethrows the first task exception after the batch
-  /// drains (the pool stays usable). Re-entrant submissions from inside a
-  /// task execute inline on the submitting thread. Batches from
-  /// independent client threads overlap. With a `preferred_node` hint,
-  /// task t is enqueued round-robin over the slots of node
-  /// `preferred_node(t) % numa_nodes()` (negative hint: no preference).
-  /// Stealing may still execute a task anywhere — locality-first order
-  /// makes that the exception, and the write-disjoint task contract makes
-  /// it always correct.
-  void run(int ntasks, const TaskFn& fn, int width = 0,
-           const NodeHintFn& preferred_node = {}) override;
+  /// Execute fn(t, ctx) for every t in [0, ntasks) and return when all
+  /// tasks have finished; rethrows the first task exception after the
+  /// batch drains (the pool stays usable). A one-task batch, and any
+  /// submission from inside a task, executes inline on the calling
+  /// thread. Batches from independent client threads overlap. With a
+  /// `preferred_node` hint, task t is enqueued round-robin over the slots
+  /// of node `preferred_node(t) % numa_nodes()` (negative hint: no
+  /// preference). Stealing may still execute a task anywhere —
+  /// locality-first order makes that the exception, and the write-disjoint
+  /// task contract makes it always correct.
+  void run(int ntasks, const TaskFn& fn, const NodeHintFn& preferred_node = {});
 
   /// Queued multi-batch admission: enqueue the batch and return a future
   /// that becomes ready when its last task finishes (exceptional with the
@@ -157,10 +160,16 @@ class ThreadPool final : public Executor {
     return queued_tasks_.load(std::memory_order_relaxed);
   }
 
-  void warm_workspaces(std::size_t float_elems, std::size_t double_elems) override;
+  /// Pre-grow every slot's workspace to the given element counts, so a
+  /// following batch whose tasks request at most that much performs no
+  /// slab allocation on any slot — even one executing its first task ever
+  /// (stealing routes any task to any slot). Requests at or below the
+  /// warmed high-water mark return immediately; larger ones wait for the
+  /// pool to quiesce (see the file comment).
+  void warm_workspaces(std::size_t float_elems, std::size_t double_elems);
 
   /// The process-wide pool every entry point uses when the caller names no
-  /// executor: hardware-sized, created on first use, workers persist until
+  /// pool: hardware-sized, created on first use, workers persist until
   /// exit.
   static ThreadPool& global();
 
@@ -198,7 +207,7 @@ class ThreadPool final : public Executor {
   /// (api::Server::runtime_stats, bench/runtime_pool).
   metrics::NumaPoolStats numa_stats() const;
   /// Batches admitted to the queues (lifetime total; inline executions of
-  /// nested/width-1 work are not batches).
+  /// nested or one-task work are not batches).
   std::uint64_t batches() const { return batches_.load(std::memory_order_relaxed); }
   /// Slot workspaces (workers are slots 0..concurrency()-2, the caller
   /// slot is the last one).

@@ -1,7 +1,7 @@
 #pragma once
 // Reusable per-worker workspace for the task runtime.
 //
-// Every executor slot owns one Workspace: a monotonically grown Arena per
+// Every pool slot owns one Workspace: a monotonically grown Arena per
 // scalar type, kept warm across task batches. A task asks for
 // `arena<T>(min_capacity)` at the start of its body and bump-allocates out
 // of it; the slab is grown to the high-water mark of everything the slot

@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "ata/ata.hpp"
-#include "blas/parallel.hpp"
 #include "blas/reference.hpp"
 #include "blas/syrk.hpp"
 #include "dist/ata_dist.hpp"

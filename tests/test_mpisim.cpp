@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <numeric>
 
 #include "mpisim/communicator.hpp"
@@ -10,9 +11,16 @@
 namespace atalib::mpisim {
 namespace {
 
+/// Run `fn` on every rank of `comm` through a fresh pool with one slot per
+/// rank — the path the distributed layer's rank pool takes.
+void run_ranks(Communicator& comm, const std::function<void(RankCtx&)>& fn) {
+  runtime::ThreadPool pool(comm.size());
+  comm.run_on(pool, [&](RankCtx& ctx, runtime::TaskContext&) { fn(ctx); });
+}
+
 TEST(Communicator, PingPongDeliversPayload) {
   Communicator comm(2);
-  comm.run([](RankCtx& ctx) {
+  run_ranks(comm, [](RankCtx& ctx) {
     if (ctx.rank() == 0) {
       const double data[3] = {1.5, 2.5, 3.5};
       ctx.send(1, 7, data, 3);
@@ -31,7 +39,7 @@ TEST(Communicator, PingPongDeliversPayload) {
 TEST(Communicator, TagMatchingIsSelective) {
   // Messages sent out of tag order must still be matched correctly.
   Communicator comm(2);
-  comm.run([](RankCtx& ctx) {
+  run_ranks(comm, [](RankCtx& ctx) {
     if (ctx.rank() == 0) {
       const int a = 111, b = 222;
       ctx.send_value(1, /*tag=*/2, b);
@@ -45,7 +53,7 @@ TEST(Communicator, TagMatchingIsSelective) {
 
 TEST(Communicator, FifoWithinSameSourceAndTag) {
   Communicator comm(2);
-  comm.run([](RankCtx& ctx) {
+  run_ranks(comm, [](RankCtx& ctx) {
     if (ctx.rank() == 0) {
       for (int i = 0; i < 10; ++i) ctx.send_value(1, 4, i);
     } else {
@@ -57,7 +65,7 @@ TEST(Communicator, FifoWithinSameSourceAndTag) {
 TEST(Communicator, ManyRanksAllToRoot) {
   const int p = 16;
   Communicator comm(p);
-  comm.run([p](RankCtx& ctx) {
+  run_ranks(comm, [p](RankCtx& ctx) {
     if (ctx.rank() == 0) {
       long long sum = 0;
       for (int src = 1; src < p; ++src) sum += ctx.recv_value<long long>(src, 1);
@@ -70,7 +78,7 @@ TEST(Communicator, ManyRanksAllToRoot) {
 
 TEST(Communicator, TrafficCountsMessagesAndWords) {
   Communicator comm(3);
-  comm.run([](RankCtx& ctx) {
+  run_ranks(comm, [](RankCtx& ctx) {
     if (ctx.rank() == 0) {
       std::vector<double> payload(100, 1.0);
       ctx.send(1, 1, payload.data(), payload.size());
@@ -92,7 +100,7 @@ TEST(Communicator, TrafficCountsMessagesAndWords) {
 
 TEST(Communicator, SelfSendIsAProtocolError) {
   Communicator comm(1);
-  EXPECT_THROW(comm.run([](RankCtx& ctx) {
+  EXPECT_THROW(run_ranks(comm, [](RankCtx& ctx) {
     const int v = 1;
     ctx.send_value(0, 0, v);
   }),
@@ -101,31 +109,17 @@ TEST(Communicator, SelfSendIsAProtocolError) {
 
 TEST(Communicator, ExceptionsPropagateToCaller) {
   Communicator comm(2);
-  EXPECT_THROW(comm.run([](RankCtx& ctx) {
+  EXPECT_THROW(run_ranks(comm, [](RankCtx& ctx) {
     if (ctx.rank() == 1) throw std::runtime_error("rank failure");
     // rank 0 does nothing and exits
   }),
                std::runtime_error);
 }
 
-TEST(Communicator, RankFailureUnblocksPeersAndPropagatesOriginalError) {
-  // Rank 1 dies before sending what everyone else is waiting on: the
+TEST(Communicator, RankFailureUnblocksPeersUnderRunOn) {
+  // Rank 2 dies before sending what everyone else is waiting on: the
   // abort protocol must poison the mailboxes (no hang) and rethrow the
   // *original* failure, not the secondary AbortedError the peers see.
-  const int p = 6;
-  Communicator comm(p);
-  try {
-    comm.run([](RankCtx& ctx) {
-      if (ctx.rank() == 1) throw std::invalid_argument("rank 1 failed");
-      if (ctx.rank() != 1) ctx.recv<int>(1, 7);  // would block forever without abort
-    });
-    FAIL() << "run() should have thrown";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_STREQ(e.what(), "rank 1 failed");
-  }
-}
-
-TEST(Communicator, RankFailureUnblocksPeersUnderRunOn) {
   const int p = 4;
   runtime::ThreadPool pool(p);
   Communicator comm(p);
@@ -149,7 +143,7 @@ TEST(Communicator, StressManyRanksInterleavedTagMatching) {
   const int p = 24;
   const int per_pair = 3;
   Communicator comm(p);
-  comm.run([p](RankCtx& ctx) {
+  run_ranks(comm, [p](RankCtx& ctx) {
     const int me = ctx.rank();
     // Send phase: to each destination, post tags in descending order and
     // payloads encoding (source, tag) so matching errors are observable.
@@ -190,8 +184,8 @@ TEST(Communicator, StressManyRanksInterleavedTagMatching) {
 
 TEST(Communicator, RunOnExecutorMatchesThreadRun) {
   // run_on executes ranks as a ThreadPool batch; the protocol result and
-  // traffic must be identical to the thread-per-rank run(), and each rank
-  // must get a usable per-slot workspace.
+  // traffic must be exact, and each rank must get a usable per-slot
+  // workspace.
   const int p = 8;
   runtime::ThreadPool pool(p);
   Communicator comm(p);
@@ -211,7 +205,7 @@ TEST(Communicator, RunOnExecutorMatchesThreadRun) {
 }
 
 TEST(Communicator, RunOnRejectsNarrowExecutor) {
-  // Rank bodies block on recv; an executor with fewer slots than ranks
+  // Rank bodies block on recv; a pool with fewer slots than ranks
   // would deadlock, so run_on must refuse it up front.
   runtime::ThreadPool pool(2);
   Communicator comm(3);
@@ -235,7 +229,7 @@ TEST(Communicator, RunOnRejectsNestedSubmission) {
 
 TEST(Communicator, LargePayloadIntegrity) {
   Communicator comm(2);
-  comm.run([](RankCtx& ctx) {
+  run_ranks(comm, [](RankCtx& ctx) {
     const std::size_t n = 1 << 18;
     if (ctx.rank() == 0) {
       std::vector<float> data(n);
@@ -249,6 +243,34 @@ TEST(Communicator, LargePayloadIntegrity) {
     }
   });
 }
+
+class RunOnRanks : public ::testing::TestWithParam<int> {};
+
+TEST_P(RunOnRanks, AllToAllExchangeIsExactOnPoolsOfAnyWidth) {
+  // Every rank sends one tagged value to every other rank and checks what
+  // it receives. The protocol and its traffic must not depend on whether
+  // the pool has exactly P slots or spare ones.
+  const int p = GetParam();
+  for (const int width : {p, p + 3}) {
+    runtime::ThreadPool pool(width);
+    Communicator comm(p);
+    comm.run_on(pool, [p](RankCtx& ctx, runtime::TaskContext&) {
+      const int me = ctx.rank();
+      for (int dst = 0; dst < p; ++dst) {
+        if (dst != me) ctx.send_value<long long>(dst, 5, 1000LL * me + dst);
+      }
+      for (int src = 0; src < p; ++src) {
+        if (src != me) EXPECT_EQ(ctx.recv_value<long long>(src, 5), 1000LL * src + me);
+      }
+    });
+    const auto t = comm.traffic();
+    const auto expected = static_cast<std::uint64_t>(p) * static_cast<std::uint64_t>(p - 1);
+    EXPECT_EQ(t.total_messages(), expected) << "width " << width;
+    EXPECT_EQ(t.total_words(), expected) << "width " << width;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RankSweep, RunOnRanks, ::testing::Values(1, 2, 3, 5, 8));
 
 }  // namespace
 }  // namespace atalib::mpisim

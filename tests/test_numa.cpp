@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "api/execute.hpp"
 #include "api/server.hpp"
 #include "ata/ata.hpp"
 #include "common/cacheinfo.hpp"
@@ -183,7 +184,7 @@ TEST(NumaPool, RoundRobinSchedulingBalancesNodes) {
   const int ntasks = 16;
   std::atomic<int> ran{0};
   pool.run(
-      ntasks, [&](int, runtime::TaskContext&) { ran.fetch_add(1); }, 0,
+      ntasks, [&](int, runtime::TaskContext&) { ran.fetch_add(1); },
       [](int t) { return t % 2; });
   EXPECT_EQ(ran.load(), ntasks);
   // Assignment-time counts are deterministic regardless of stealing: 8
@@ -202,7 +203,7 @@ TEST(NumaPool, FourNodeRoundRobinWithinOneTask) {
   ASSERT_EQ(pool.numa_nodes(), 4);
   const int ntasks = 10;  // 10 = 4*2 + 2: two nodes get one extra task
   pool.run(
-      ntasks, [](int, runtime::TaskContext&) {}, 0, [](int t) { return t % 4; });
+      ntasks, [](int, runtime::TaskContext&) {}, [](int t) { return t % 4; });
   std::uint64_t total = 0;
   for (int node = 0; node < 4; ++node) {
     const std::uint64_t count = pool.scheduled_on_node(node);
@@ -220,7 +221,7 @@ TEST(NumaPool, HonorsPreferredNodeExclusively) {
   ASSERT_EQ(pool.numa_nodes(), 2);
   const int ntasks = 12;
   pool.run(
-      ntasks, [](int, runtime::TaskContext&) {}, 0, [](int) { return 1; });
+      ntasks, [](int, runtime::TaskContext&) {}, [](int) { return 1; });
   EXPECT_EQ(pool.scheduled_on_node(0), 0u);
   EXPECT_EQ(pool.scheduled_on_node(1), static_cast<std::uint64_t>(ntasks));
 }
@@ -230,7 +231,7 @@ TEST(NumaPool, NegativeHintFallsBackToFlatRotation) {
   runtime::ThreadPool pool(4);
   const int ntasks = 8;
   pool.run(
-      ntasks, [](int, runtime::TaskContext&) {}, 0, [](int) { return -1; });
+      ntasks, [](int, runtime::TaskContext&) {}, [](int) { return -1; });
   // Flat rotation over 4 slots = 2 per slot = 4 per node.
   EXPECT_EQ(pool.scheduled_on_node(0), 4u);
   EXPECT_EQ(pool.scheduled_on_node(1), 4u);
@@ -263,7 +264,7 @@ TEST(NumaPool, BalancedOneTaskPerSlotBatchHasZeroSteals) {
       [&](int, runtime::TaskContext&) {
         all_started.arrive_and_wait();
       },
-      0, [](int t) { return t % 2; });
+      [](int t) { return t % 2; });
   EXPECT_EQ(pool.local_steals(), 0u);
   EXPECT_EQ(pool.remote_steals(), 0u);
   EXPECT_EQ(pool.steals(), 0u);
@@ -312,7 +313,7 @@ TEST(NumaPool, WarmGrowsEverySlotUnderFakeTopology) {
         Arena<double>& arena = ctx.arena<double>(doubles);
         arena.allocate(doubles);
       },
-      0, [](int t) { return t % 2; });
+      [](int t) { return t % 2; });
   for (int s = 0; s < 4; ++s) {
     EXPECT_EQ(pool.workspace(s).grow_count(), grows_before[static_cast<std::size_t>(s)])
         << "slot " << s;
@@ -342,9 +343,10 @@ TEST(NumaAta, PlacedExecutionBitwiseMatchesFlatPool) {
     so.threads = 4;
     so.oversub = 2;
     so.recurse = tiny_base();
-    so.executor = &pool;
+    const auto plan = api::PlanCache::global().get_or_build(
+        api::shared_plan_key(api::Dtype::kF64, m, n, so));
     auto c = Matrix<double>::zeros(n, n);
-    ata_shared(1.0, a.const_view(), c.view(), so);
+    api::execute(*plan, 1.0, a.const_view(), c.view(), &pool);
     return c;
   };
 

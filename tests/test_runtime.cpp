@@ -1,7 +1,8 @@
 // Tests for the persistent task-pool runtime: exactly-once execution under
 // stealing (the Snippet-1-style integrity property), workspace reuse,
-// re-entrancy, error propagation, the over-decomposed AtA-S schedule, and
-// bitwise agreement of pool-executed AtA-S with the serial engines.
+// re-entrancy, error propagation, the over-decomposed AtA-S schedule,
+// bitwise agreement of pool-executed AtA-S with the serial engines for any
+// plan thread count, and inline execution of P = 1 plans.
 
 #include <gtest/gtest.h>
 
@@ -13,9 +14,11 @@
 #include <thread>
 #include <vector>
 
+#include "api/execute.hpp"
+#include "api/plan_cache.hpp"
 #include "ata/ata.hpp"
-#include "blas/parallel.hpp"
 #include "blas/reference.hpp"
+#include "blas/syrk.hpp"
 #include "matrix/compare.hpp"
 #include "matrix/generate.hpp"
 #include "parallel/ata_shared.hpp"
@@ -305,6 +308,16 @@ RecurseOptions tiny_base() {
   return opts;
 }
 
+/// ata_shared on an explicit pool: the same cached plan, run by `pool`
+/// instead of the global one.
+template <typename T>
+void ata_shared_on(runtime::ThreadPool& pool, T alpha, ConstMatrixView<T> a, MatrixView<T> c,
+                   const SharedOptions& so) {
+  const auto plan = api::PlanCache::global().get_or_build(
+      api::shared_plan_key(api::dtype_of<T>(), a.rows, a.cols, so));
+  api::execute(*plan, alpha, a, c, &pool);
+}
+
 TEST(AtaSharedPool, BitwiseMatchesSerialAtaOnIntegerInputs) {
   // Integer matrices make every execution order produce identical floats,
   // so the pool execution (any stealing interleaving) must agree exactly
@@ -323,9 +336,8 @@ TEST(AtaSharedPool, BitwiseMatchesSerialAtaOnIntegerInputs) {
         so.threads = p;
         so.oversub = oversub;
         so.recurse = tiny_base();
-        so.executor = &pool;
         auto c_pool = Matrix<double>::zeros(shape.n, shape.n);
-        ata_shared(1.0, a.const_view(), c_pool.view(), so);
+        ata_shared_on(pool, 1.0, a.const_view(), c_pool.view(), so);
         EXPECT_EQ(max_abs_diff_lower<double>(c_pool.const_view(), c_serial.const_view()), 0.0)
             << "m=" << shape.m << " n=" << shape.n << " P=" << p << " c=" << oversub;
       }
@@ -343,12 +355,11 @@ TEST(AtaSharedPool, GlobalPoolAndExplicitPoolAgree) {
   so.oversub = 2;
   so.recurse = tiny_base();
   auto c_global = Matrix<float>::zeros(56, 56);
-  ata_shared(1.0f, a.const_view(), c_global.view(), so);  // null executor: global pool
+  ata_shared(1.0f, a.const_view(), c_global.view(), so);  // the global pool
 
   runtime::ThreadPool pool(4);
-  so.executor = &pool;
   auto c_pool = Matrix<float>::zeros(56, 56);
-  ata_shared(1.0f, a.const_view(), c_pool.view(), so);
+  ata_shared_on(pool, 1.0f, a.const_view(), c_pool.view(), so);
 
   EXPECT_EQ(max_abs_diff_lower<float>(c_global.const_view(), c_ref.const_view()), 0.0);
   EXPECT_EQ(max_abs_diff_lower<float>(c_pool.const_view(), c_ref.const_view()), 0.0);
@@ -364,10 +375,9 @@ TEST(AtaSharedPool, BlasEngineAndProfileAgreeOverPool) {
   so.threads = 6;
   so.oversub = 3;
   so.recurse = tiny_base();
-  so.executor = &pool;
   so.engine = SharedOptions::Engine::kBlas;
   auto c_blas = Matrix<double>::zeros(64, 64);
-  ata_shared(1.0, a.const_view(), c_blas.view(), so);
+  ata_shared_on(pool, 1.0, a.const_view(), c_blas.view(), so);
   EXPECT_EQ(max_abs_diff_lower<double>(c_blas.const_view(), c_ref.const_view()), 0.0);
 
   so.engine = SharedOptions::Engine::kStrassen;
@@ -377,25 +387,105 @@ TEST(AtaSharedPool, BlasEngineAndProfileAgreeOverPool) {
   EXPECT_EQ(max_abs_diff_lower<double>(c_prof.const_view(), c_ref.const_view()), 0.0);
 }
 
-// ---- Parallel BLAS over an explicit executor ---------------------------
-
-TEST(BlasParExecutor, StripedKernelsMatchReference) {
+TEST(AtaSharedPool, SingleThreadPlanRunsInlineOnCaller) {
+  // A P = 1 plan asks for no concurrency, whatever its oversub: execute()
+  // must run all its tasks on the calling thread — no batch admitted, no
+  // slot executing (or growing a workspace for) any task — and still
+  // produce the serial result.
   runtime::ThreadPool pool(4);
-  const index_t m = 48, n = 36, k = 28;
-  const auto a = random_integer<double>(m, n, 3, 5);
-  const auto b = random_integer<double>(m, k, 3, 6);
+  const auto a = random_integer<double>(96, 80, 3, 2024);
+  auto c_serial = Matrix<double>::zeros(80, 80);
+  ata(1.0, a.const_view(), c_serial.view(), tiny_base());
 
-  auto c_ref = Matrix<double>::zeros(n, k);
-  blas::ref::gemm_tn(1.0, a.const_view(), b.const_view(), c_ref.view());
-  auto c_par = Matrix<double>::zeros(n, k);
-  blas::par::gemm_tn(1.0, a.const_view(), b.const_view(), c_par.view(), 7, pool);
-  EXPECT_EQ(max_abs_diff<double>(c_par.const_view(), c_ref.const_view()), 0.0);
+  SharedOptions so;
+  so.threads = 1;
+  so.oversub = 4;
+  so.recurse = tiny_base();
+  const auto plan = api::PlanCache::global().get_or_build(
+      api::shared_plan_key(api::Dtype::kF64, 96, 80, so));
+  ASSERT_EQ(plan->key().p, 1);
+  ASSERT_EQ(plan->schedule().tasks.size(), 4u);
 
-  auto s_ref = Matrix<double>::zeros(n, n);
-  blas::ref::syrk_ln(1.0, a.const_view(), s_ref.view());
-  auto s_par = Matrix<double>::zeros(n, n);
-  blas::par::syrk_ln(1.0, a.const_view(), s_par.view(), 5, pool);
-  EXPECT_EQ(max_abs_diff_lower<double>(s_par.const_view(), s_ref.const_view()), 0.0);
+  const std::uint64_t batches_before = pool.batches();
+  auto c = Matrix<double>::zeros(80, 80);
+  api::execute(*plan, 1.0, a.const_view(), c.view(), &pool);
+
+  EXPECT_EQ(pool.batches(), batches_before);
+  EXPECT_EQ(pool.numa_stats().total_executed(), 0u) << "a pool slot executed a task";
+  for (int s = 0; s < pool.concurrency(); ++s) {
+    EXPECT_EQ(pool.workspace(s).grow_count(), 0u) << "slot " << s;
+  }
+  EXPECT_EQ(max_abs_diff_lower<double>(c.const_view(), c_serial.const_view()), 0.0);
+}
+
+// ---- Plan thread-count sweeps over one pool -----------------------------
+// Whatever P a plan asks for, its tasks run on the pool the caller names,
+// with as many (or as few) slots as it has. On integer inputs every
+// execution order gives the same floats, so the result must equal the
+// serial kernel's bitwise.
+
+class PoolSyrkThreads : public ::testing::TestWithParam<int> {};
+
+TEST_P(PoolSyrkThreads, BlasEnginePlanMatchesSerialSyrk) {
+  runtime::ThreadPool pool(4);
+  const auto a = random_integer<double>(60, 53, 3, 13);
+  auto c_ref = Matrix<double>::zeros(53, 53);
+  blas::syrk_ln(1.0, a.const_view(), c_ref.view());
+
+  SharedOptions so;
+  so.threads = GetParam();
+  so.recurse = tiny_base();
+  so.engine = SharedOptions::Engine::kBlas;
+  auto c = Matrix<double>::zeros(53, 53);
+  ata_shared_on(pool, 1.0, a.const_view(), c.view(), so);
+  EXPECT_EQ(max_abs_diff_lower<double>(c.const_view(), c_ref.const_view()), 0.0);
+  for (index_t j = 1; j < 53; ++j) {
+    for (index_t i = 0; i < j; ++i) ASSERT_EQ(c(i, j), 0.0) << "upper (" << i << "," << j << ")";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadSweep, PoolSyrkThreads, ::testing::Values(1, 2, 3, 5, 8, 16, 53));
+
+class PoolAtaThreads : public ::testing::TestWithParam<int> {};
+
+TEST_P(PoolAtaThreads, StrassenPlanMatchesSerialAta) {
+  runtime::ThreadPool pool(3);
+  const auto a = random_integer<float>(50, 41, 3, 11);
+  auto c_serial = Matrix<float>::zeros(41, 41);
+  ata(1.0f, a.const_view(), c_serial.view(), tiny_base());
+
+  SharedOptions so;
+  so.threads = GetParam();
+  so.oversub = 2;
+  so.recurse = tiny_base();
+  auto c_pool = Matrix<float>::zeros(41, 41);
+  ata_shared_on(pool, 1.0f, a.const_view(), c_pool.view(), so);
+  auto c_global = Matrix<float>::zeros(41, 41);
+  ata_shared(1.0f, a.const_view(), c_global.view(), so);
+
+  EXPECT_EQ(max_abs_diff_lower<float>(c_pool.const_view(), c_serial.const_view()), 0.0f);
+  EXPECT_EQ(max_abs_diff_lower<float>(c_global.const_view(), c_serial.const_view()), 0.0f);
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadSweep, PoolAtaThreads, ::testing::Values(1, 2, 3, 4, 8, 16, 64));
+
+TEST(AtaSharedPool, MoreThreadsThanColumnsStillCorrect) {
+  // P far above n: the schedule runs out of blocks to split, and the plan
+  // must still cover the lower triangle exactly once.
+  runtime::ThreadPool pool(4);
+  const auto a = random_integer<double>(10, 4, 2, 14);
+  auto c_ref = Matrix<double>::zeros(4, 4);
+  blas::syrk_ln(1.0, a.const_view(), c_ref.view());
+  for (const auto engine : {SharedOptions::Engine::kStrassen, SharedOptions::Engine::kBlas}) {
+    SharedOptions so;
+    so.threads = 128;
+    so.recurse = tiny_base();
+    so.engine = engine;
+    auto c = Matrix<double>::zeros(4, 4);
+    ata_shared_on(pool, 1.0, a.const_view(), c.view(), so);
+    EXPECT_EQ(max_abs_diff_lower<double>(c.const_view(), c_ref.const_view()), 0.0)
+        << "engine " << static_cast<int>(engine);
+  }
 }
 
 }  // namespace

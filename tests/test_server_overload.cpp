@@ -457,6 +457,10 @@ TEST(ServerOverload, DeadlineSettlesOnlyAfterRunningStripeExits) {
   if (!started) {
     blocker.release();
     blocker.done.get();
+    // The request's stripes read `a` and write `c`, which die before the
+    // server does: let it settle and retire before returning.
+    fut.wait();
+    wait_drained(server);
     GTEST_SKIP() << "the first stripe did not start before the deadline";
   }
   std::this_thread::sleep_until(dopts.deadline);

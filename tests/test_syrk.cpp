@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "blas/parallel.hpp"
 #include "blas/reference.hpp"
 #include "blas/syrk.hpp"
 #include "matrix/compare.hpp"
@@ -75,29 +74,6 @@ TEST(Syrk, DiagonalIsNonnegativeForRealInput) {
   auto c = Matrix<double>::zeros(20, 20);
   blas::syrk_ln(1.0, a.const_view(), c.view());
   for (index_t i = 0; i < 20; ++i) EXPECT_GE(c(i, i), 0.0);
-}
-
-class ParSyrkThreads : public ::testing::TestWithParam<int> {};
-
-TEST_P(ParSyrkThreads, MatchesSerialWithEqualAreaStripes) {
-  const int threads = GetParam();
-  auto a = random_integer<double>(60, 53, 3, 13);
-  auto c = Matrix<double>::zeros(53, 53);
-  auto c_ref = Matrix<double>::zeros(53, 53);
-  blas::syrk_ln(1.0, a.const_view(), c_ref.view());
-  blas::par::syrk_ln(1.0, a.const_view(), c.view(), threads);
-  EXPECT_EQ(max_abs_diff_lower<double>(c.const_view(), c_ref.const_view()), 0.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(ThreadSweep, ParSyrkThreads, ::testing::Values(1, 2, 3, 5, 8, 16, 53));
-
-TEST(ParSyrk, MoreThreadsThanRowsClamps) {
-  auto a = random_integer<double>(10, 4, 2, 14);
-  auto c = Matrix<double>::zeros(4, 4);
-  auto c_ref = Matrix<double>::zeros(4, 4);
-  blas::syrk_ln(1.0, a.const_view(), c_ref.view());
-  blas::par::syrk_ln(1.0, a.const_view(), c.view(), 128);
-  EXPECT_EQ(max_abs_diff_lower<double>(c.const_view(), c_ref.const_view()), 0.0);
 }
 
 }  // namespace

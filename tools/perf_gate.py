@@ -47,6 +47,11 @@ normalization — that is the price of running on heterogeneous CI
 hardware, and it is why the baselines are regenerated (and eyeballed)
 whenever a PR intentionally shifts the perf envelope.
 
+Baseline keys with no match in any current file (a renamed or dropped
+bench row, or an ISA tier this runner lacks, e.g. the avx512 rows of
+BENCH_blas.json) are not gated but listed by name, so a rename cannot
+quietly take a row out of the gate.
+
 Cold and overload phases are excluded: cold pays one-off plan builds, and
 the overload phase's completed/sec depends on the admission mix, not on
 warm-path speed. Records without a rate metric (counter records) are
@@ -181,6 +186,7 @@ def main():
 
     ratios = {}  # identity key (with file tag) -> current/baseline
     skipped_noisy = []
+    unmatched = []  # baseline keys (with file tag) absent from every current file
     for pair in args.pairs:
         parts = pair.split(":")
         if len(parts) < 2:
@@ -192,6 +198,7 @@ def main():
             for key, (rate, _) in load_rates(cur_path).items():
                 cur[key] = max(rate, cur.get(key, 0.0))
         shared = base.keys() & cur.keys()
+        unmatched.extend((base_path,) + key for key in base.keys() - cur.keys())
         if not shared:
             print(f"perf gate: FAIL — no intersecting records between "
                   f"{base_path} and {':'.join(cur_paths)}; run the bench "
@@ -227,6 +234,11 @@ def main():
         for key, noise in sorted(skipped_noisy, key=lambda kv: kv[1]):
             print(f"  skipped (noise_floor {noise:.3f}): "
                   f"{describe(key[1:])} [{key[0]}]")
+    if unmatched:
+        print(f"perf gate: {len(unmatched)} baseline key(s) matched no current "
+              f"record and are not gated:")
+        for key in sorted(unmatched, key=str):
+            print(f"  unmatched: {describe(key[1:])} [{key[0]}]")
     worst = sorted(ratios.items(), key=lambda kv: kv[1])[:5]
     for key, ratio in worst:
         print(f"  slowest: {ratio / machine:6.3f}x normalized "

@@ -7,7 +7,10 @@
 // portable scalar tile), reports the SIMD-vs-scalar speedup, and writes the
 // per-path records to --json (BENCH_blas.json), the repo's leaf-kernel perf
 // baseline. The `microkernel` records are the ceiling those rates are read
-// against: the register tile alone, in L1, at the configured KC.
+// against: the register tile alone, in L1, at the configured KC. The
+// `served` syrk_ln records are the leaf calls the perfbench workloads make
+// (m x n inputs at fixed shapes, whatever --scale says), keyed by the
+// workload that serves them.
 
 #include <cstdio>
 #include <map>
@@ -32,6 +35,8 @@ struct Measurement {
   double seconds = 0;
   double gflops = 0;
   std::string dispatch;
+  index_t m = 0;       // rows of A (syrk_ln rows; recorded for served rows only)
+  std::string served;  // workload whose leaf this is; empty for the sweep rows
 };
 
 template <typename T>
@@ -56,15 +61,19 @@ Measurement time_gemm_nn(const char* name, index_t n, int reps, const std::strin
   return {name, sizeof(T) == 4 ? "f32" : "f64", n, secs, flops / secs / 1e9, dispatch};
 }
 
+// syrk_ln on an m x n A: n^2 * m useful flops on the lower triangle (the
+// paper's syrk count). `served` names the perfbench workload that makes
+// this leaf call; empty for the square sweep (m == n).
 template <typename T>
-Measurement time_syrk(const char* name, index_t n, int reps, const std::string& dispatch) {
-  const auto a = random_uniform<T>(n, n, 5);
+Measurement time_syrk(index_t m, index_t n, int reps, const std::string& dispatch,
+                      const char* served = "") {
+  const auto a = random_uniform<T>(m, n, 5);
   auto c = Matrix<T>::zeros(n, n);
   const double secs =
       min_time_of([&] { blas::syrk_ln(T(1), a.const_view(), c.view()); }, reps);
-  // n^2 * m useful flops on the lower triangle (the paper's syrk count).
-  const double flops = static_cast<double>(n) * n * n;
-  return {name, sizeof(T) == 4 ? "f32" : "f64", n, secs, flops / secs / 1e9, dispatch};
+  const double flops = static_cast<double>(n) * n * m;
+  return {"syrk_ln", sizeof(T) == 4 ? "f32" : "f64", n, secs, flops / secs / 1e9,
+          dispatch, m, served};
 }
 
 // One packed MR x kc A micro-panel and one kc x NR B micro-panel (kc = the
@@ -83,7 +92,7 @@ Measurement time_microkernel(Isa isa, int reps, const std::string& dispatch) {
   const double secs = min_time_of(
       [&] {
         for (long i = 0; i < calls; ++i) {
-          cfg.uk.fn(kc, T(1), a.data(), b.data(), c.data(), nr, mr, nr);
+          cfg.uk.fn(kc, T(1), a.data(), mr, b.data(), c.data(), nr, mr, nr);
         }
       },
       reps);
@@ -115,7 +124,7 @@ int main(int argc, char** argv) {
                                    atalib::bench::scaled(512, scale)};
 
   Table table("leaf kernels, min of " + std::to_string(reps) + " reps");
-  table.set_header({"bench", "dtype", "n", "ms", "GFLOP/s", "dispatch"});
+  table.set_header({"bench", "dtype", "n", "m", "ms", "GFLOP/s", "dispatch", "served"});
   std::map<std::string, double> gemm_tn_gflops;  // dispatch -> largest-size GFLOP/s
 
   std::vector<Measurement> results;
@@ -126,19 +135,23 @@ int main(int argc, char** argv) {
       const Measurement tn = time_gemm_tn<double>("gemm_tn", n, reps, dispatch);
       if (n == sizes.back()) gemm_tn_gflops[dispatch] = tn.gflops;
       results.push_back(tn);
-      results.push_back(time_syrk<double>("syrk_ln", n, reps, dispatch));
+      results.push_back(time_syrk<double>(n, n, reps, dispatch));
     }
     results.push_back(time_gemm_nn<double>("gemm_nn", sizes[1], reps, dispatch));
     results.push_back(time_gemm_tn<float>("gemm_tn", sizes[1], reps, dispatch));
-    results.push_back(time_syrk<float>("syrk_ln", sizes[1], reps, dispatch));
+    results.push_back(time_syrk<float>(sizes[1], sizes[1], reps, dispatch));
     results.push_back(time_microkernel<double>(isa, reps, dispatch));
     results.push_back(time_microkernel<float>(isa, reps, dispatch));
+    results.push_back(time_syrk<float>(2048, 256, reps, dispatch, "batch_tall"));
+    results.push_back(time_syrk<double>(256, 256, reps, dispatch, "gram_large"));
+    results.push_back(time_syrk<double>(512, 64, reps, dispatch, "serve_small"));
+    results.push_back(time_syrk<double>(256, 32, reps, dispatch, "serve_small"));
   }
   blas::kernels::set_forced_isa(std::nullopt);
 
   for (const Measurement& r : results) {
-    table.add_row({r.bench, r.dtype, std::to_string(r.n), Table::num(r.seconds * 1e3),
-                   Table::num(r.gflops, 2), r.dispatch});
+    table.add_row({r.bench, r.dtype, std::to_string(r.n), r.served.empty() ? "" : std::to_string(r.m),
+                   Table::num(r.seconds * 1e3), Table::num(r.gflops, 2), r.dispatch, r.served});
     atalib::bench::JsonWriter::Record rec;
     rec.str("bench", r.bench)
         .str("dtype", r.dtype)
@@ -146,6 +159,7 @@ int main(int argc, char** argv) {
         .num("seconds", r.seconds)
         .num("gflops", r.gflops)
         .str("dispatch", r.dispatch);
+    if (!r.served.empty()) rec.num("m", static_cast<std::uint64_t>(r.m)).str("served", r.served);
     json.add(rec);
   }
   table.print();

@@ -37,8 +37,8 @@ void gemm(Op opa, Op opb, T alpha, ConstMatrixView<T> av, ConstMatrixView<T> bv,
           for (index_t p = 0; p < mc; p += MR) {
             const index_t mr = std::min(MR, mc - p);
             const T* ap = bufs.a() + (p / MR) * MR * kc;
-            cfg.uk.fn(kc, alpha, ap, bp, c.data + (ic + p) * c.stride + jc + q, c.stride, mr,
-                      nr);
+            cfg.uk.fn(kc, alpha, ap, MR, bp, c.data + (ic + p) * c.stride + jc + q, c.stride,
+                      mr, nr);
           }
         }
       }

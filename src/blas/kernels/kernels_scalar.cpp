@@ -12,11 +12,11 @@ constexpr index_t kMR = 4;
 constexpr index_t kNR = 8;
 
 template <typename T>
-void scalar_microkernel(index_t kc, T alpha, const T* ap, const T* bp, T* c, index_t ldc,
-                        index_t mr, index_t nr) {
+void scalar_microkernel(index_t kc, T alpha, const T* ap, index_t a_step, const T* bp, T* c,
+                        index_t ldc, index_t mr, index_t nr) {
   T acc[kMR][kNR] = {};
   for (index_t k = 0; k < kc; ++k) {
-    const T* a = ap + k * kMR;
+    const T* a = ap + k * a_step;
     const T* b = bp + k * kNR;
     for (index_t r = 0; r < kMR; ++r) {
       const T ar = a[r];

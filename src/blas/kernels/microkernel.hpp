@@ -2,10 +2,13 @@
 // ISA-specific register-tile microkernels (see DESIGN.md §2).
 //
 // A microkernel computes C[0:mr, 0:nr] += alpha * A * B over one packed
-// micro-panel pair: A is an MR x kc panel (column-major-by-k, rows past the
-// tile zero-padded), B a kc x NR panel (row-major-by-k, columns zero-padded),
-// so the accumulator always spans the full MR x NR register tile and only the
-// valid mr x nr corner is stored back. Each ISA variant lives in its own
+// micro-panel pair: A is an MR x kc panel whose MR values for depth k sit
+// contiguously at ap[k * a_step], B a kc x NR panel (row-major-by-k,
+// columns zero-padded), so the accumulator always spans the full MR x NR
+// register tile and only the valid mr x nr corner is stored back. gemm
+// passes a_step = MR (a pack_a micro-panel, rows past the tile zero-padded);
+// syrk_ln passes a_step = NR to read A's rows out of the packed B panel of
+// the same columns (DESIGN.md §2). Each ISA variant lives in its own
 // translation unit compiled with its own -m flags (CMake per-file options),
 // and surfaces itself as one KernelEntry; registry.hpp picks the best
 // supported entry at runtime via cpuid.
@@ -29,8 +32,8 @@ template <typename T>
 struct Microkernel {
   index_t mr = 0;
   index_t nr = 0;
-  void (*fn)(index_t kc, T alpha, const T* ap, const T* bp, T* c, index_t ldc, index_t mr,
-             index_t nr) = nullptr;
+  void (*fn)(index_t kc, T alpha, const T* ap, index_t a_step, const T* bp, T* c, index_t ldc,
+             index_t mr, index_t nr) = nullptr;
 };
 
 /// Fused level-1 row kernels for one scalar type — the Strassen block-sum /

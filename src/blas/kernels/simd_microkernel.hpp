@@ -6,7 +6,9 @@
 // machine code, so one source serves every tier. VL is the vector length in
 // elements, MR the tile rows, NV the vectors per row (NR = VL * NV). The
 // k-loop keeps MR*NV vector accumulators live and issues NV loads of B plus
-// one broadcast-from-memory of each A value per step; with -mfma /
+// one broadcast-from-memory of each A value per step, then advances A by
+// the runtime a_step (MR for a pack_a panel, NR when syrk_ln reads A out of
+// the packed B panel — see microkernel.hpp); with -mfma /
 // -ffp-contract=fast the multiply-add contracts to FMA. Loads/stores go
 // through memcpy so packed panels and C rows need no alignment and no
 // aliasing blessing.
@@ -29,8 +31,8 @@
 namespace atalib::blas::kernels {
 
 template <typename T, int VL, int MR, int NV>
-void simd_microkernel(index_t kc, T alpha, const T* ap, const T* bp, T* c, index_t ldc,
-                      index_t mr, index_t nr) {
+void simd_microkernel(index_t kc, T alpha, const T* ap, index_t a_step, const T* bp, T* c,
+                      index_t ldc, index_t mr, index_t nr) {
   constexpr int NR = VL * NV;
   typedef T V __attribute__((vector_size(VL * sizeof(T))));
   const auto load = [](const T* p) {
@@ -47,7 +49,7 @@ void simd_microkernel(index_t kc, T alpha, const T* ap, const T* bp, T* c, index
   }
   const T* a = ap;
   const T* b = bp;
-  for (index_t k = 0; k < kc; ++k, a += MR, b += NR) {
+  for (index_t k = 0; k < kc; ++k, a += a_step, b += NR) {
     V bv[NV];
 #pragma GCC unroll 64
     for (int j = 0; j < NV; ++j) bv[j] = load(b + j * VL);

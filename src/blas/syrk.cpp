@@ -25,17 +25,22 @@ void syrk_ln(T alpha, ConstMatrixView<T> a, MatrixView<T> c, Arena<T>* arena) {
   // A itself — both packers hit their contiguous fast path.
   const kernels::OpView<T> arow{a, true};
   const kernels::OpView<T> acol{a, false};
+  // Rows inside the column panel are the panel's own columns, already in
+  // the packed B panel: with NR a multiple of MR every MR-row tile starting
+  // MR-aligned from jc lies inside one NR-column micro-panel, so the
+  // microkernel reads its A operand there with step NR and pack_a only runs
+  // for rows past the panel. Otherwise (AVX2, NEON) every row is packed.
+  const bool share_panel = NR % MR == 0;
 
   for (index_t jc = 0; jc < n; jc += NC) {
     const index_t nc = std::min(NC, n - jc);
+    const index_t shared_end = share_panel ? jc + nc : jc;
     for (index_t pc = 0; pc < m; pc += KC) {
       const index_t kc = std::min(KC, m - pc);
       kernels::pack_b(acol, pc, jc, kc, nc, NR, bufs.b());
-      // Output rows above jc are strictly upper-triangle for this column
-      // panel, so row panels start at the diagonal.
-      for (index_t ic = jc; ic < n; ic += MC) {
-        const index_t mc = std::min(MC, n - ic);
-        kernels::pack_a(arow, ic, pc, mc, kc, MR, bufs.a());
+      // Row panel [ic, ic + mc) against the packed column panel; a_panel(row0)
+      // is the A micro-panel of the tile starting at output row row0.
+      const auto sweep = [&](index_t ic, index_t mc, index_t a_step, auto a_panel) {
         for (index_t q = 0; q < nc; q += NR) {
           const index_t nr = std::min(NR, nc - q);
           const index_t col0 = jc + q;
@@ -44,16 +49,17 @@ void syrk_ln(T alpha, ConstMatrixView<T> a, MatrixView<T> c, Arena<T>* arena) {
             const index_t mr = std::min(MR, mc - p);
             const index_t row0 = ic + p;
             if (row0 + mr - 1 < col0) continue;  // microtile strictly above the diagonal
-            const T* ap = bufs.a() + (p / MR) * MR * kc;
+            const T* ap = a_panel(row0);
             if (row0 >= col0 + nr - 1) {
               // Every (i, j) of the tile has j <= i: store straight into C.
-              cfg.uk.fn(kc, alpha, ap, bp, c.data + row0 * c.stride + col0, c.stride, mr, nr);
+              cfg.uk.fn(kc, alpha, ap, a_step, bp, c.data + row0 * c.stride + col0, c.stride, mr,
+                        nr);
             } else {
               // Diagonal-crossing tile: compute the full tile into a stack
               // temporary, fold back only the at-or-below-diagonal part.
               T tmp[kernels::kMaxMR * kernels::kMaxNR];
               for (index_t i = 0; i < mr * nr; ++i) tmp[i] = T(0);
-              cfg.uk.fn(kc, alpha, ap, bp, tmp, nr, mr, nr);
+              cfg.uk.fn(kc, alpha, ap, a_step, bp, tmp, nr, mr, nr);
               for (index_t r = 0; r < mr; ++r) {
                 const index_t jmax = std::min(nr, row0 + r - col0 + 1);
                 T* dst = c.data + (row0 + r) * c.stride + col0;
@@ -63,6 +69,19 @@ void syrk_ln(T alpha, ConstMatrixView<T> a, MatrixView<T> c, Arena<T>* arena) {
             }
           }
         }
+      };
+      // Output rows above jc are strictly upper-triangle for this column
+      // panel, so row panels start at the diagonal.
+      for (index_t ic = jc; ic < shared_end; ic += MC) {
+        sweep(ic, std::min(MC, shared_end - ic), NR, [&](index_t row0) {
+          const index_t off = row0 - jc;
+          return bufs.b() + off / NR * NR * kc + off % NR;
+        });
+      }
+      for (index_t ic = shared_end; ic < n; ic += MC) {
+        const index_t mc = std::min(MC, n - ic);
+        kernels::pack_a(arow, ic, pc, mc, kc, MR, bufs.a());
+        sweep(ic, mc, MR, [&](index_t row0) { return bufs.a() + (row0 - ic) / MR * MR * kc; });
       }
     }
   }

@@ -4,10 +4,11 @@
 // Self-built substitute for MKL ?syrk (the paper's baseline in Figs. 3 and 5
 // and AtA's base-case kernel). Only the lower triangle of C is touched,
 // matching the BLAS 'L' uplo convention and AtA's output contract. The
-// implementation is a true packed-SYRK (see DESIGN.md §2): one panel-packing
-// sweep shared with gemm's blocking, above-diagonal microtiles skipped
-// outright, diagonal-crossing microtiles folded through a register-tile
-// stack temporary — no separate diagonal-block scratch buffer.
+// implementation is a true packed-SYRK (see DESIGN.md §2): gemm's blocking
+// with each k-panel packed once (row tiles inside the column panel read
+// their A operand out of the packed B panel), above-diagonal microtiles
+// skipped outright, diagonal-crossing microtiles folded through a
+// register-tile stack temporary — no separate diagonal-block scratch buffer.
 
 #include "common/arena.hpp"
 #include "matrix/view.hpp"

@@ -6,9 +6,10 @@
 // Inputs are small integers, so every product and partial sum is exactly
 // representable in float and double: FMA contraction, accumulation order,
 // and blocking differences cannot round, and any mismatch is a real
-// packing/microkernel/dispatch bug, not noise. The one exception is the
-// arithmetic-contract test, which drives each SIMD register tile directly
-// with real-valued panels, where rounding does show.
+// packing/microkernel/dispatch bug, not noise. Two tests use real-valued
+// inputs, where rounding does show: the arithmetic-contract test, which
+// drives each SIMD register tile directly, and the syrk-vs-gemm_tn oracle,
+// whose two sides run the same fma chains.
 
 #include <gtest/gtest.h>
 
@@ -131,44 +132,110 @@ void expect_syrk_matches_scalar(Isa isa) {
   }
 }
 
-/// The SIMD tiles' arithmetic contract, checked bitwise on random
-/// non-integer panels: each output lane is acc = fma(a, b, acc) over k in
-/// order, then c = fma(alpha, acc, c), and nothing outside the valid
-/// mr x nr corner of C is written. Covers kc in {1, 3, 17, KC}, every mix
-/// of full and ragged mr/nr, alpha != 1, and ldc > NR.
+/// A register tile's arithmetic contract, checked bitwise: each output lane
+/// is acc = fma(a, b, acc) over k in order, then c = fma(alpha, acc, c), and
+/// nothing outside the valid mr x nr corner of C is written. Covers kc in
+/// {1, 3, 17, KC}, every mix of full and ragged mr/nr, ldc > NR, and both A
+/// layouts: a pack_a micro-panel (a_step = MR) and an MR-row slice at
+/// offsets 0 and NR - MR of a B-shaped panel (a_step = NR, as syrk_ln reads
+/// A out of its packed B panel). `real` draws non-integer inputs and
+/// alpha != 1; otherwise small integers and alpha = 2 make every product
+/// and sum exact, so the chain is met with or without FMA contraction.
 template <typename T>
-void expect_tile_matches_fma_chain(Isa isa) {
+void expect_tile_matches_fma_chain(Isa isa, bool real) {
   const kn::KernelConfig<T>& cfg = kn::config_for<T>(isa);
   const index_t MR = cfg.uk.mr, NR = cfg.uk.nr, ldc = NR + 5;
-  const T alpha = T(0.7);
+  const T alpha = real ? T(0.7) : T(2);
+  const auto draw = [&](index_t rows, index_t cols, std::uint64_t seed) {
+    return real ? random_uniform<T>(rows, cols, seed) : random_integer<T>(rows, cols, 3, seed);
+  };
+  struct ALayout {
+    index_t step, offset;
+  };
   std::uint64_t seed = 5000;
   for (const index_t kc : {index_t{1}, index_t{3}, index_t{17}, cfg.blocks.kc}) {
     for (const index_t mr : {index_t{1}, MR - 1, MR}) {
       for (const index_t nr : {index_t{1}, NR - 1, NR}) {
-        // Packed panels as pack_a/pack_b lay them out, edges zero-padded.
-        auto ap = random_uniform<T>(kc, MR, seed++);
-        auto bp = random_uniform<T>(kc, NR, seed++);
-        for (index_t k = 0; k < kc; ++k) {
-          for (index_t r = mr; r < MR; ++r) ap(k, r) = T(0);
-          for (index_t j = nr; j < NR; ++j) bp(k, j) = T(0);
-        }
-        const auto c0 = random_uniform<T>(MR, ldc, seed++);
-        auto expected = c0.clone();
-        for (index_t r = 0; r < mr; ++r) {
-          for (index_t j = 0; j < nr; ++j) {
-            T acc = T(0);
-            for (index_t k = 0; k < kc; ++k) acc = std::fma(ap(k, r), bp(k, j), acc);
-            expected(r, j) = std::fma(alpha, acc, c0(r, j));
+        for (const ALayout lay : {ALayout{MR, 0}, ALayout{NR, 0}, ALayout{NR, NR - MR}}) {
+          // Panels as pack_a/pack_b lay them out: row k of `ap` holds depth
+          // k, and everything past the tile's last valid row or column is
+          // the packer's zero padding.
+          auto ap = draw(kc, lay.step, seed++);
+          auto bp = draw(kc, NR, seed++);
+          for (index_t k = 0; k < kc; ++k) {
+            for (index_t r = lay.offset + mr; r < lay.step; ++r) ap(k, r) = T(0);
+            for (index_t j = nr; j < NR; ++j) bp(k, j) = T(0);
           }
+          const auto c0 = draw(MR, ldc, seed++);
+          auto expected = c0.clone();
+          for (index_t r = 0; r < mr; ++r) {
+            for (index_t j = 0; j < nr; ++j) {
+              T acc = T(0);
+              for (index_t k = 0; k < kc; ++k) {
+                acc = std::fma(ap(k, lay.offset + r), bp(k, j), acc);
+              }
+              expected(r, j) = std::fma(alpha, acc, c0(r, j));
+            }
+          }
+          auto c = c0.clone();
+          cfg.uk.fn(kc, alpha, ap.data() + lay.offset, lay.step, bp.data(), c.data(), ldc, mr,
+                    nr);
+          ASSERT_EQ(std::memcmp(c.data(), expected.data(), sizeof(T) * MR * ldc), 0)
+              << "isa=" << kn::isa_name(isa) << " kc=" << kc << " mr=" << mr << " nr=" << nr
+              << " a_step=" << lay.step << " a_offset=" << lay.offset
+              << " max diff=" << max_abs_diff<T>(c.const_view(), expected.const_view());
         }
-        auto c = c0.clone();
-        cfg.uk.fn(kc, alpha, ap.data(), bp.data(), c.data(), ldc, mr, nr);
-        ASSERT_EQ(std::memcmp(c.data(), expected.data(), sizeof(T) * MR * ldc), 0)
-            << "isa=" << kn::isa_name(isa) << " kc=" << kc << " mr=" << mr << " nr=" << nr
-            << " max diff=" << max_abs_diff<T>(c.const_view(), expected.const_view());
       }
     }
   }
+}
+
+/// syrk_ln against its gemm oracle on real inputs under the current
+/// dispatch: with alpha = 1 and C zero on entry, every lower-triangle
+/// element of syrk_ln(A) is the same fma chain over the same KC panels as
+/// gemm_tn(A, A), so the two agree bitwise whichever way syrk_ln sources
+/// its row operand. The strict upper triangle must keep its sentinel.
+/// `a` and `c` may be strided views.
+template <typename T>
+void expect_syrk_equals_gemm_tn_lower(ConstMatrixView<T> a, MatrixView<T> c, const char* what) {
+  const index_t n = a.cols;
+  const T sentinel = T(-123.25);
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t j = 0; j < n; ++j) c(i, j) = j > i ? sentinel : T(0);
+  }
+  auto g = Matrix<T>::zeros(n, n);
+  blas::syrk_ln(T(1), a, c);
+  blas::gemm_tn(T(1), a, a, g.view());
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t j = 0; j <= i; ++j) {
+      ASSERT_EQ(std::memcmp(&c(i, j), &g(i, j), sizeof(T)), 0)
+          << what << " m=" << a.rows << " n=" << n << " at (" << i << "," << j
+          << ") syrk=" << c(i, j) << " gemm=" << g(i, j);
+    }
+    for (index_t j = i + 1; j < n; ++j) {
+      ASSERT_EQ(c(i, j), sentinel) << what << " upper triangle touched at (" << i << "," << j
+                                   << ") n=" << n;
+    }
+  }
+}
+
+template <typename T>
+void expect_syrk_equals_gemm_tn_across_shapes(Isa isa) {
+  const kn::KernelConfig<T>& cfg = kn::config_for<T>(isa);
+  const index_t MR = cfg.uk.mr, NR = cfg.uk.nr;
+  const index_t m = 2 * cfg.blocks.kc + 7;  // three KC panels, the last ragged
+  std::uint64_t seed = 7000;
+  for (const index_t n : {index_t{1}, MR - 1, NR + 1, 3 * NR + 5, cfg.blocks.mc + NR}) {
+    const auto a = random_uniform<T>(m, n, seed++);
+    auto c = Matrix<T>::zeros(n, n);
+    expect_syrk_equals_gemm_tn_lower<T>(a.const_view(), c.view(), kn::isa_name(isa));
+  }
+  // Strided A and C: views into larger row-major storage.
+  const index_t n = 2 * NR + 3;
+  const auto big_a = random_uniform<T>(m + 3, n + 11, seed++);
+  auto big_c = Matrix<T>::zeros(n + 4, n + 9);
+  expect_syrk_equals_gemm_tn_lower<T>(big_a.const_view().block(2, 5, m, n),
+                                      big_c.view().block(3, 7, n, n), kn::isa_name(isa));
 }
 
 TEST(KernelRegistry, ScalarIsAlwaysCompiledAndLast) {
@@ -241,11 +308,35 @@ TEST(Kernels, SyrkFloatBitwiseMatchesScalarAndSkipsUpperTriangle) {
 // The scalar tile is excluded: it is built without FMA (separate multiply
 // and add, two roundings), so it does not meet this contract — most of
 // these cases differ from the fma chain in the last bit. Its agreement
-// with the SIMD tiers is only claimed on exact (integer) inputs above.
+// with the SIMD tiers is only claimed on exact (integer) inputs.
 TEST(Kernels, SimdTilesMatchFmaChainBitwiseOnRealInputs) {
   for (const Isa isa : simd_isas()) {
-    expect_tile_matches_fma_chain<double>(isa);
-    expect_tile_matches_fma_chain<float>(isa);
+    expect_tile_matches_fma_chain<double>(isa, true);
+    expect_tile_matches_fma_chain<float>(isa, true);
+  }
+}
+
+// Exact inputs put the scalar tile under the same contract, both A steps
+// included, so every tier agrees with every other on them tile by tile.
+TEST(Kernels, EveryTileMatchesFmaChainBitwiseOnIntegerInputs) {
+  for (const kn::KernelEntry* e : kn::available_kernels()) {
+    expect_tile_matches_fma_chain<double>(e->isa, false);
+    expect_tile_matches_fma_chain<float>(e->isa, false);
+  }
+}
+
+// Covers both row-operand sources on every tier this machine runs: the
+// packed B panel (NR a multiple of MR: AVX-512, scalar) and pack_a (AVX2,
+// NEON), plus pack_a for rows past an NC column panel (f32, small m).
+TEST(Kernels, SyrkLowerEqualsGemmTnLowerBitwiseOnRealInputs) {
+  for (const kn::KernelEntry* e : kn::available_kernels()) {
+    ForcedIsa forced(e->isa);
+    expect_syrk_equals_gemm_tn_across_shapes<double>(e->isa);
+    expect_syrk_equals_gemm_tn_across_shapes<float>(e->isa);
+    const index_t n = kn::config_for<float>(e->isa).blocks.nc + 17;
+    const auto a = random_uniform<float>(5, n, 7100);
+    auto c = Matrix<float>::zeros(n, n);
+    expect_syrk_equals_gemm_tn_lower<float>(a.const_view(), c.view(), kn::isa_name(e->isa));
   }
 }
 
@@ -288,17 +379,20 @@ TEST(Kernels, ArenaRoutedGemmMatchesThreadLocalAndStaysWithinBound) {
 TEST(Kernels, ArenaRoutedSyrkMatchesThreadLocalAndStaysWithinBound) {
   const index_t m = 81, n = 67;
   const auto a = random_integer<double>(m, n, 3, 23);
-  auto c_tls = Matrix<double>::zeros(n, n);
-  auto c_arena = Matrix<double>::zeros(n, n);
-  blas::syrk_ln(1.0, a.const_view(), c_tls.view());
-
   const index_t bound = blas::syrk_workspace_bound<double>(m, n);
   ASSERT_GT(bound, 0);
-  Arena<double> arena(static_cast<std::size_t>(bound));
-  blas::syrk_ln(1.0, a.const_view(), c_arena.view(), &arena);
-  EXPECT_EQ(max_abs_diff_lower<double>(c_arena.const_view(), c_tls.const_view()), 0.0);
-  EXPECT_EQ(arena.used(), 0u);
-  EXPECT_LE(arena.high_water(), static_cast<std::size_t>(bound));
+  for (const kn::KernelEntry* e : kn::available_kernels()) {
+    ForcedIsa forced(e->isa);
+    auto c_tls = Matrix<double>::zeros(n, n);
+    auto c_arena = Matrix<double>::zeros(n, n);
+    blas::syrk_ln(1.0, a.const_view(), c_tls.view());
+    Arena<double> arena(static_cast<std::size_t>(bound));
+    blas::syrk_ln(1.0, a.const_view(), c_arena.view(), &arena);
+    EXPECT_EQ(max_abs_diff_lower<double>(c_arena.const_view(), c_tls.const_view()), 0.0)
+        << kn::isa_name(e->isa);
+    EXPECT_EQ(arena.used(), 0u) << kn::isa_name(e->isa);
+    EXPECT_LE(arena.high_water(), static_cast<std::size_t>(bound)) << kn::isa_name(e->isa);
+  }
 }
 
 TEST(Kernels, WorkspaceBoundCoversEveryDispatchPath) {

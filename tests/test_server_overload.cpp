@@ -528,10 +528,15 @@ TEST(ServerOverload, ShedOldestFreesCapacityForNewWork) {
 }
 
 TEST(ServerOverload, HigherPriorityRequestOvertakesQueuedLowerPriority) {
-  // Single worker; a low-priority request is queued first behind a
-  // blocker, then a high-priority one. When the high future settles, the
-  // low request (a multi-millisecond Gram) cannot already be done — which
-  // is exactly what a FIFO pool would have produced.
+  // Single worker, so its one slot queue's pop order IS the global
+  // completion order (as in PoolPriority.HigherClassDrainsFirstFifoWithinClass).
+  // A blocker holds the worker while a low-priority request is queued, then
+  // a high-priority one. Each request is followed by a pool marker task in
+  // its own priority class; FIFO within the class runs the marker right
+  // after that request's task settles its future, so the marker's position
+  // is the request's completion position. The high request must complete
+  // first, though the low one was queued first — the inversion a FIFO pool
+  // would commit.
   api::Server::Options sopts;
   sopts.threads = 2;
   api::Server server(sopts);
@@ -545,23 +550,53 @@ TEST(ServerOverload, HigherPriorityRequestOvertakesQueuedLowerPriority) {
     server.submit(1.0, small.const_view(), cs.view(), opts).get();
   }
 
+  struct Completion {
+    int at = -1;           // position in the worker's completion order
+    bool settled = false;  // the request's future was ready when recorded
+    bool other_pending = false;
+  };
+  std::atomic<int> seq{0};
+  Completion low_done, high_done;
+  std::future<void> low, high;
+  const auto mark = [&](int priority, Completion& rec, std::future<void>& own,
+                        std::future<void>& other) {
+    runtime::SubmitOptions mopts;
+    mopts.priority = priority;
+    return server.executor().submit(
+        1,
+        [&seq, rec = &rec, own = &own, other = &other](int, runtime::TaskContext&) {
+          rec->at = seq.fetch_add(1, std::memory_order_relaxed);
+          rec->settled = own->wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+          rec->other_pending =
+              other->wait_for(std::chrono::seconds(0)) == std::future_status::timeout;
+        },
+        mopts);
+  };
+
   WorkerBlocker blocker;
   blocker.install(server.executor());
   auto c_low = Matrix<double>::zeros(256, 256);
   auto c_high = Matrix<double>::zeros(32, 32);
   auto low_opts = opts;
   low_opts.priority = 0;
-  auto low = server.submit(1.0, big.const_view(), c_low.view(), low_opts);
+  low = server.submit(1.0, big.const_view(), c_low.view(), low_opts);
+  auto low_mark = mark(0, low_done, low, high);
   auto high_opts = opts;
   high_opts.priority = 9;
-  auto high = server.submit(1.0, small.const_view(), c_high.view(), high_opts);
+  high = server.submit(1.0, small.const_view(), c_high.view(), high_opts);
+  auto high_mark = mark(9, high_done, high, low);
+  EXPECT_EQ(server.executor().queue_depth(), 4u) << "both requests and markers queued";
   blocker.release();
-
-  high.get();
-  EXPECT_EQ(low.wait_for(std::chrono::seconds(0)), std::future_status::timeout)
-      << "priority inversion: the earlier low-priority request finished first";
-  low.get();
   blocker.done.get();
+  high_mark.get();
+  low_mark.get();
+
+  EXPECT_TRUE(high_done.settled && low_done.settled) << "a marker ran before its request";
+  EXPECT_LT(high_done.at, low_done.at)
+      << "priority inversion: the earlier low-priority request finished first";
+  EXPECT_TRUE(high_done.other_pending) << "the low request completed before the high one";
+  high.get();
+  low.get();
   wait_drained(server);
 }
 

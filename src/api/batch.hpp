@@ -46,7 +46,8 @@ struct AtaRequest {
 
 /// The fused execution shape of one batch: the distinct plans it touches
 /// and the request -> plan assignment, plus the flattened task count the
-/// executor batch runs. Built by build_batch_plan; immutable afterwards.
+/// executor batch runs. Filled by build_batch_plan; the serving front-end
+/// reuses one per recycled batch state, so its vectors keep their capacity.
 struct BatchPlan {
   /// Distinct plans, in first-appearance order.
   std::vector<std::shared_ptr<const AtaPlan>> plans;
@@ -62,18 +63,19 @@ struct BatchPlan {
   int total_tasks() const { return task_offset.empty() ? 0 : task_offset.back(); }
 };
 
-/// Group `requests` by plan key through `cache` and validate every request
-/// against its plan (std::invalid_argument on any dtype/shape mismatch —
-/// thrown before anything executes, so a rejected batch is all-or-nothing).
-/// `opts` must already be validated. Cache accounting: one hit-or-miss per
-/// distinct shape in the batch.
+/// Group `requests` by plan key through `cache` into `batch` (cleared
+/// first) and validate every request against its plan
+/// (std::invalid_argument on any dtype/shape mismatch — thrown before
+/// anything executes, so a rejected batch is all-or-nothing). `opts` must
+/// already be validated. Cache accounting: one hit-or-miss per distinct
+/// shape in the batch.
 template <typename T>
-BatchPlan build_batch_plan(PlanCache& cache, std::span<const AtaRequest<T>> requests,
-                           const SharedOptions& opts);
+void build_batch_plan(PlanCache& cache, std::span<const AtaRequest<T>> requests,
+                      const SharedOptions& opts, BatchPlan& batch);
 
-#define ATALIB_API_BATCH_EXTERN(T)                                        \
-  extern template BatchPlan build_batch_plan<T>(                          \
-      PlanCache&, std::span<const AtaRequest<T>>, const SharedOptions&)
+#define ATALIB_API_BATCH_EXTERN(T)                                                       \
+  extern template void build_batch_plan<T>(PlanCache&, std::span<const AtaRequest<T>>,   \
+                                           const SharedOptions&, BatchPlan&)
 ATALIB_API_BATCH_EXTERN(float);
 ATALIB_API_BATCH_EXTERN(double);
 #undef ATALIB_API_BATCH_EXTERN

@@ -6,6 +6,7 @@
 #include <exception>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -32,6 +33,72 @@ std::uint64_t elapsed_ns(SteadyClock::time_point from, SteadyClock::time_point t
                        .count());
 }
 
+/// Idle batch states a server keeps, and the tickets they may hold in
+/// all; beyond either bound a retired state is freed instead.
+constexpr std::size_t kMaxIdleStates = 256;
+constexpr std::size_t kMaxIdleTickets = 4096;
+
+}  // namespace
+
+namespace detail {
+
+/// One unit of batched work: request `req`, task `local` of its plan.
+struct BatchUnit {
+  int req;
+  int local;
+};
+
+/// One pool task of a fused batch: a run of consecutive units. Multi-task
+/// plans get one unit per pool task (their stripes must spread over the
+/// pool); single-task requests are CHUNKED — consecutive same-plan
+/// requests share one pool task — so the per-task executor overhead
+/// (queue round-trip, context wake-up) is paid once per chunk, not once
+/// per tiny request. That amortization is where batch >> 1 beats a
+/// per-request loop even when no parallel speedup is available.
+struct BatchChunk {
+  int first_unit;
+  int nunits;
+};
+
+/// One fused batch: the plans, the request views, the per-request tickets
+/// and the unit/chunk layout every task reads. The pool task body holds
+/// only a pointer to it (so the body fits std::function's inline buffer);
+/// the state stays checked out until the batch retires, then returns to
+/// the server's free list with its vectors' capacity and its tickets.
+template <typename T>
+struct BatchState {
+  Server* server = nullptr;
+  BatchPlan batch;
+  std::vector<AtaRequest<T>> requests;
+  std::unique_ptr<RequestTicket[]> tickets;
+  std::size_t ticket_capacity = 0;
+  std::vector<int> order;  ///< priority order of a mixed-priority batch
+  std::vector<BatchUnit> units;
+  std::vector<BatchChunk> chunks;
+  /// Chunks not yet finished; the task finishing the last one retires the
+  /// batch at the server's gate.
+  std::atomic<int> chunks_remaining{0};
+  int nnodes = 1;  ///< pool NUMA nodes, for the placement hint
+  BatchState* next_free = nullptr;
+};
+
+}  // namespace detail
+
+using detail::BatchChunk;
+using detail::BatchState;
+using detail::BatchUnit;
+
+namespace {
+
+template <typename T>
+BatchState<T>*& free_list(BatchState<float>*& f32, BatchState<double>*& f64) {
+  if constexpr (std::is_same_v<T, float>) {
+    return f32;
+  } else {
+    return f64;
+  }
+}
+
 }  // namespace
 
 Server::Server(const Options& opts)
@@ -40,32 +107,94 @@ Server::Server(const Options& opts)
       max_batches_(opts.max_queued_batches),
       policy_(opts.admission),
       faults_(fault::Plan::from_env()),
+      blocks_(runtime::BlockRecycler::create()),
       pool_(opts.threads) {}
 
 Server::~Server() {
-  UniqueLock lk(gate_mu_);
-  shutting_down_ = true;
-  // Abort everything still unsettled: units that have not computed yet
-  // see the cancel and skip; clients get ServerShutdown instead of a hang
-  // — at once if nothing started, else when the last running unit exits.
-  for (auto& t : ledger_) {
-    if (t->settled.load(std::memory_order_relaxed)) continue;
-    if (cancel(*t, CancelReason::kShutdown) && claim(*t)) {
-      fail_cancelled(*t);
-      --inflight_requests_;
+  {
+    UniqueLock lk(gate_mu_);
+    shutting_down_ = true;
+    // Abort everything still unsettled: units that have not computed yet
+    // see the cancel and skip; clients get ServerShutdown instead of a hang
+    // — at once if nothing started, else when the last running unit exits.
+    for (Ticket* t = ledger_head_; t != nullptr;) {
+      Ticket* next = t->ledger_next;
+      t->in_ledger = false;
+      if (!t->settled.load(std::memory_order_acquire) && cancel(*t, CancelReason::kShutdown) &&
+          claim(*t)) {
+        t->promise.set_exception(cancelled_error(*t));
+        --inflight_requests_;
+      }
+      t = next;
     }
+    ledger_head_ = ledger_tail_ = nullptr;
+    gate_cv_.notify_all();
+    // Wait for every admitted batch to retire and every blocked admitter to
+    // wake (and throw ServerShutdown) before the members destruct: after
+    // this loop no pool task touches server state, and ~pool_ (declared
+    // last, destructed first) joins the workers before the gate itself goes.
+    while (queued_batches_ != 0 || gate_waiters_ != 0) gate_cv_.wait(lk);
   }
-  ledger_.clear();
-  gate_cv_.notify_all();
-  // Wait for every admitted batch to retire and every blocked admitter to
-  // wake (and throw ServerShutdown) before the members destruct: after
-  // this loop no pool task touches server state, and ~pool_ (declared
-  // last, destructed first) joins the workers before the gate itself goes.
-  while (queued_batches_ != 0 || gate_waiters_ != 0) gate_cv_.wait(lk);
+  MutexLock lk(free_mu_);
+  while (free_f32_ != nullptr) delete std::exchange(free_f32_, free_f32_->next_free);
+  while (free_f64_ != nullptr) delete std::exchange(free_f64_, free_f64_->next_free);
+  // Futures a client still holds keep the recycler alive until released.
+  blocks_->release();
 }
 
-Server::Clock::time_point Server::admit(std::size_t nreq) {
-  const auto t0 = Clock::now();
+template <typename T>
+BatchState<T>* Server::acquire_state(std::size_t nreq) {
+  BatchState<T>* state = nullptr;
+  {
+    MutexLock lk(free_mu_);
+    BatchState<T>*& head = free_list<T>(free_f32_, free_f64_);
+    if (head != nullptr) {
+      state = std::exchange(head, head->next_free);
+      --idle_states_;
+      idle_tickets_ -= state->ticket_capacity;
+    }
+  }
+  if (state == nullptr) {
+    state = new BatchState<T>;
+    state->server = this;
+    state->nnodes = pool_.numa_nodes();
+  }
+  if (state->ticket_capacity < nreq) {
+    state->tickets = std::make_unique<Ticket[]>(nreq);
+    state->ticket_capacity = nreq;
+  }
+  return state;
+}
+
+template <typename T>
+BatchState<T>* Server::recycle(BatchState<T>* state) {
+  MutexLock lk(free_mu_);
+  if (idle_states_ >= kMaxIdleStates || idle_tickets_ + state->ticket_capacity > kMaxIdleTickets) {
+    return state;
+  }
+  BatchState<T>*& head = free_list<T>(free_f32_, free_f64_);
+  state->next_free = std::exchange(head, state);
+  ++idle_states_;
+  idle_tickets_ += state->ticket_capacity;
+  return nullptr;
+}
+
+void Server::link(Ticket& t) {
+  t.ledger_prev = ledger_tail_;
+  t.ledger_next = nullptr;
+  (ledger_tail_ != nullptr ? ledger_tail_->ledger_next : ledger_head_) = &t;
+  ledger_tail_ = &t;
+  t.in_ledger = true;
+}
+
+void Server::unlink(Ticket& t) {
+  if (!t.in_ledger) return;
+  (t.ledger_prev != nullptr ? t.ledger_prev->ledger_next : ledger_head_) = t.ledger_next;
+  (t.ledger_next != nullptr ? t.ledger_next->ledger_prev : ledger_tail_) = t.ledger_prev;
+  t.in_ledger = false;
+}
+
+Server::Clock::time_point Server::admit(Ticket* tickets, std::size_t nreq) {
   if (runtime::ThreadPool::current_thread_in_task()) {
     // Re-entrant submissions execute inline in the pool (never queued);
     // blocking the worker on its own server's gate would deadlock, so they
@@ -76,7 +205,8 @@ Server::Clock::time_point Server::admit(std::size_t nreq) {
     }
     inflight_requests_ += nreq;
     ++queued_batches_;
-    return t0;
+    for (std::size_t r = 0; r < nreq; ++r) link(tickets[r]);
+    return Clock::now();
   }
   if (nreq > max_inflight_ || max_batches_ == 0) {
     // Can never fit, under any policy: blocking would deadlock.
@@ -120,29 +250,31 @@ Server::Clock::time_point Server::admit(std::size_t nreq) {
   }
   inflight_requests_ += nreq;
   ++queued_batches_;
-  return t0;
+  for (std::size_t r = 0; r < nreq; ++r) link(tickets[r]);
+  return Clock::now();
 }
 
-void Server::unadmit(std::size_t nreq) {
+void Server::unadmit(Ticket* tickets, std::size_t nreq) {
+  // The tickets are still unarmed: nothing else can have settled them.
   MutexLock lk(gate_mu_);
+  for (std::size_t r = 0; r < nreq; ++r) unlink(tickets[r]);
   inflight_requests_ -= nreq;
   --queued_batches_;
-  gate_cv_.notify_all();
+  if (gate_waiters_ > 0 || shutting_down_) gate_cv_.notify_all();
 }
 
 std::size_t Server::shed_expired(Clock::time_point now) {
   std::size_t freed = 0;
-  for (auto& t : ledger_) {
-    if (t->settled.load(std::memory_order_relaxed)) continue;
-    if (now < t->deadline) continue;
-    if (cancel(*t, CancelReason::kShed) && claim(*t)) {
-      fail_cancelled(*t);
+  for (Ticket* t = ledger_head_; t != nullptr;) {
+    Ticket* next = t->ledger_next;
+    if (!t->settled.load(std::memory_order_acquire) && now >= t->deadline &&
+        cancel(*t, CancelReason::kShed) && claim(*t)) {
+      t->promise.set_exception(cancelled_error(*t));
       --inflight_requests_;
+      unlink(*t);
       ++freed;
     }
-  }
-  while (!ledger_.empty() && ledger_.front()->settled.load(std::memory_order_relaxed)) {
-    ledger_.pop_front();
+    t = next;
   }
   return freed;
 }
@@ -160,46 +292,52 @@ bool Server::claim(Ticket& t) {
   return t.settled.compare_exchange_strong(expected, true, std::memory_order_acq_rel);
 }
 
-bool Server::claim_and_release(Ticket& t) {
-  if (!claim(t)) return false;
-  MutexLock lk(gate_mu_);
-  --inflight_requests_;
-  while (!ledger_.empty() && ledger_.front()->settled.load(std::memory_order_relaxed)) {
-    ledger_.pop_front();
-  }
-  gate_cv_.notify_all();
-  return true;
-}
-
-void Server::fail_cancelled(Ticket& t) {
-  std::exception_ptr error;
+std::exception_ptr Server::cancelled_error(const Ticket& t) {
   switch (t.cancel.load(std::memory_order_acquire)) {
     case CancelReason::kShed:
       shed_.fetch_add(1, std::memory_order_relaxed);
       deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-      error = std::make_exception_ptr(DeadlineExceeded(
+      return std::make_exception_ptr(DeadlineExceeded(
           "atalib: request shed under kShedOldest after its deadline expired"));
-      break;
     case CancelReason::kShutdown:
-      error = std::make_exception_ptr(
+      return std::make_exception_ptr(
           ServerShutdown("atalib: Server destroyed with the request in flight"));
-      break;
     default:
       deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-      error = std::make_exception_ptr(
+      return std::make_exception_ptr(
           DeadlineExceeded("atalib: request deadline expired before execution"));
-      break;
   }
-  t.promise.set_exception(error);
 }
 
-void Server::on_batch_retired() {
-  // The LAST server-state touch any task of a batch performs; ~Server
-  // waits for queued_batches_ == 0, so everything a task does happens
-  // before the members destruct.
-  MutexLock lk(gate_mu_);
-  --queued_batches_;
-  gate_cv_.notify_all();
+template <typename T>
+void Server::finish(Ticket* settled, std::exception_ptr error, BatchState<T>* retired) {
+  // Take the promise out first: once the batch retires below, its state
+  // (and this ticket) may be reused, and the server may be destroyed.
+  std::optional<std::promise<void>> promise;
+  if (settled != nullptr) promise.emplace(std::move(settled->promise));
+  // No task of a retired batch reads its plans anymore; drop them outside
+  // the gate in case one was the last reference.
+  if (retired != nullptr) retired->batch.plans.clear();
+  BatchState<T>* excess = nullptr;
+  {
+    MutexLock lk(gate_mu_);
+    if (settled != nullptr) {
+      --inflight_requests_;
+      unlink(*settled);
+    }
+    if (retired != nullptr) {
+      --queued_batches_;
+      excess = recycle(retired);
+    }
+    if (gate_waiters_ > 0 || shutting_down_) gate_cv_.notify_all();
+  }
+  delete excess;
+  if (!promise) return;
+  if (error) {
+    promise->set_exception(std::move(error));
+  } else {
+    promise->set_value();
+  }
 }
 
 metrics::ServerStats Server::stats() const {
@@ -224,14 +362,6 @@ metrics::ServerStats Server::stats() const {
 template <typename T>
 std::future<void> Server::submit(T alpha, ConstMatrixView<T> a, MatrixView<T> c,
                                  SharedOptions opts) {
-  // Reject a mismatched C before touching the gate or the cache: the check
-  // needs no plan, and a rejected request must not pay a schedule build or
-  // insert an entry that could evict a plan warm traffic is using.
-  if (c.rows != a.cols || c.cols != a.cols) {
-    throw std::invalid_argument("Server::submit: C must be n x n = " +
-                                std::to_string(a.cols) + "^2, got " + std::to_string(c.rows) +
-                                "x" + std::to_string(c.cols));
-  }
   // One request is a batch of one: a single machinery gives submit() the
   // same admission, deadline, settle-once, and teardown guarantees.
   AtaRequest<T> req;
@@ -240,8 +370,9 @@ std::future<void> Server::submit(T alpha, ConstMatrixView<T> a, MatrixView<T> c,
   req.c = c;
   req.priority = opts.priority;
   req.deadline = opts.deadline;
-  auto futures = submit_batch<T>(std::span<const AtaRequest<T>>(&req, 1), std::move(opts));
-  return std::move(futures.front());
+  std::future<void> future;
+  enqueue_batch<T>(std::span<const AtaRequest<T>>(&req, 1), opts, &future);
+  return future;
 }
 
 template <typename T>
@@ -252,110 +383,89 @@ std::future<void> Server::submit(T alpha, ConstMatrixView<T> a, MatrixView<T> c)
   return submit(alpha, a, c, opts);
 }
 
-namespace {
-
-/// One unit of batched work: request `req`, task `local` of its plan.
-struct BatchUnit {
-  int req;
-  int local;
-};
-
-/// One pool task of a fused batch: a run of consecutive units. Multi-task
-/// plans get one unit per pool task (their stripes must spread over the
-/// pool); single-task requests are CHUNKED — consecutive same-plan
-/// requests share one pool task — so the per-task executor overhead
-/// (queue round-trip, context wake-up) is paid once per chunk, not once
-/// per tiny request. That amortization is where batch >> 1 beats a
-/// per-request loop even when no parallel speedup is available.
-struct BatchChunk {
-  int first_unit;
-  int nunits;
-};
-
-/// Shared lifetime of one fused batch: the plans, the request views, and
-/// the per-request completion/error bookkeeping every task touches. Tasks
-/// hold it by shared_ptr so the state outlives both the client (who may
-/// drop futures early) and the pool batch.
-template <typename T>
-struct BatchState {
-  BatchPlan batch;
-  std::vector<AtaRequest<T>> requests;
-  std::vector<std::shared_ptr<detail::RequestTicket>> tickets;
-  std::vector<BatchUnit> units;
-  std::vector<BatchChunk> chunks;
-  // Atomics are not movable, so the per-request arrays live behind
-  // unique_ptr instead of vector.
-  std::unique_ptr<std::atomic<int>[]> remaining;
-  std::unique_ptr<std::atomic<bool>[]> failed;
-  std::vector<std::exception_ptr> errors;
-  /// Chunks not yet finished; the task taking it to zero retires the
-  /// batch at the server's gate.
-  std::atomic<int> chunks_remaining{0};
-  /// The server's fault plan, shared so injection hooks stay valid even
-  /// while the server tears down.
-  std::shared_ptr<const fault::Plan> faults;
-};
-
-}  // namespace
-
 template <typename T>
 std::vector<std::future<void>> Server::submit_batch(std::span<const AtaRequest<T>> requests,
                                                     SharedOptions opts) {
+  if (requests.empty()) {
+    validate(opts);
+    return {};
+  }
+  std::vector<std::future<void>> futures(requests.size());
+  enqueue_batch<T>(requests, opts, futures.data());
+  return futures;
+}
+
+template <typename T>
+void Server::enqueue_batch(std::span<const AtaRequest<T>> requests, const SharedOptions& opts,
+                           std::future<void>* futures) {
+  const Clock::time_point t0 = Clock::now();
   validate(opts);
-  if (requests.empty()) return {};
+  // Reject a mismatched C before touching the gate or the cache: the check
+  // needs no plan, and a rejected request must not pay a schedule build or
+  // insert an entry that could evict a plan warm traffic is using.
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    const AtaRequest<T>& req = requests[r];
+    if (req.c.rows != req.a.cols || req.c.cols != req.a.cols) {
+      throw std::invalid_argument(
+          "Server::submit: request " + std::to_string(r) + ": C must be n x n = " +
+          std::to_string(req.a.cols) + "^2, got " + std::to_string(req.c.rows) + "x" +
+          std::to_string(req.c.cols));
+    }
+  }
   const std::size_t nreq = requests.size();
+  BatchState<T>* const state = acquire_state<T>(nreq);
+  Ticket* const tickets = state->tickets.get();
+  for (std::size_t r = 0; r < nreq; ++r) {
+    Ticket& t = tickets[r];
+    t.settled.store(true, std::memory_order_relaxed);  // unarmed
+    t.cancel.store(CancelReason::kNone, std::memory_order_relaxed);
+    t.started_ns.store(-1, std::memory_order_relaxed);
+    t.failed.store(false, std::memory_order_relaxed);
+    t.error = nullptr;
+    t.deadline = std::min(opts.deadline, requests[r].deadline);
+  }
 
-  // The admission gate comes FIRST: a rejected submission throws before
-  // any promise, plan lookup, or ticket exists.
-  const Clock::time_point t0 = admit(nreq);
-
-  auto state = std::make_shared<BatchState<T>>();
+  // The admission gate comes FIRST: a refused submission throws before any
+  // promise or plan lookup exists. The admitted tickets join the ledger in
+  // the gate's own critical section.
+  Clock::time_point gate_passed;
   try {
-    // Throws std::invalid_argument on any bad request, before any promise
-    // exists or any task is enqueued: a rejected batch is all-or-nothing.
-    state->batch = build_batch_plan<T>(cache_, requests, opts);
+    gate_passed = admit(tickets, nreq);
   } catch (...) {
-    unadmit(nreq);
+    MutexLock lk(gate_mu_);
+    delete recycle(state);
+    throw;
+  }
+  try {
+    build_batch_plan<T>(cache_, requests, opts, state->batch);
+  } catch (...) {
+    unadmit(tickets, nreq);
+    MutexLock lk(gate_mu_);
+    delete recycle(state);
     throw;
   }
   state->requests.assign(requests.begin(), requests.end());
-  state->faults = faults_;
   admitted_.fetch_add(nreq, std::memory_order_relaxed);
 
   const Clock::time_point admitted_at = Clock::now();
-  const std::uint64_t adm_ns = elapsed_ns(t0, admitted_at);
-
-  const int total = state->batch.total_tasks();
-  state->tickets.reserve(nreq);
-  state->units.reserve(static_cast<std::size_t>(total));
-  state->remaining = std::make_unique<std::atomic<int>[]>(nreq);
-  state->failed = std::make_unique<std::atomic<bool>[]>(nreq);
-  state->errors.resize(nreq);
-
-  std::vector<std::future<void>> futures;
-  futures.reserve(nreq);
+  const std::uint64_t adm_ns = elapsed_ns(t0, gate_passed);
+  const BatchPlan& plan = state->batch;
   for (std::size_t r = 0; r < nreq; ++r) {
-    auto ticket = std::make_shared<Ticket>();
-    ticket->deadline = std::min(opts.deadline, requests[r].deadline);
-    ticket->admitted_at = admitted_at;
-    futures.push_back(ticket->promise.get_future());
-    state->tickets.push_back(std::move(ticket));
-    const int ntasks = state->batch.task_offset[r + 1] - state->batch.task_offset[r];
-    state->remaining[r].store(ntasks, std::memory_order_relaxed);
-    state->failed[r].store(false, std::memory_order_relaxed);
+    Ticket& t = tickets[r];
+    t.admitted_at = admitted_at;
+    t.remaining.store(plan.task_offset[r + 1] - plan.task_offset[r], std::memory_order_relaxed);
+    t.promise = std::promise<void>(std::allocator_arg,
+                                   runtime::RecyclingAllocator<char>(blocks_));
+    futures[r] = t.promise.get_future();
+    t.settled.store(false, std::memory_order_release);  // armed
     admission_wait_.record(adm_ns);
-  }
-  {
-    MutexLock lk(gate_mu_);
-    for (const auto& t : state->tickets) ledger_.push_back(t);
   }
   // A deadline already expired at submit settles right here: its tasks are
   // still enqueued (keeping the batch layout uniform) but become no-ops.
   for (std::size_t r = 0; r < nreq; ++r) {
-    Ticket& ticket = *state->tickets[r];
-    if (admitted_at < ticket.deadline) continue;
-    if (cancel(ticket, CancelReason::kDeadline) && claim_and_release(ticket)) {
-      fail_cancelled(ticket);
+    Ticket& t = tickets[r];
+    if (admitted_at >= t.deadline && cancel(t, CancelReason::kDeadline) && claim(t)) {
+      finish<T>(&t, cancelled_error(t), nullptr);
     }
   }
 
@@ -363,20 +473,27 @@ std::vector<std::future<void>> Server::submit_batch(std::span<const AtaRequest<T
   // in the flat index space (stable: FIFO within a priority class). The
   // batch's pool priority is the max over its requests, so a mixed batch
   // competes at its most urgent class.
-  std::vector<int> order(nreq);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&requests](int x, int y) {
+  const auto by_priority = [&requests](int x, int y) {
     return requests[static_cast<std::size_t>(x)].priority >
            requests[static_cast<std::size_t>(y)].priority;
-  });
+  };
   int batch_priority = opts.priority;
+  bool sorted = true;
   for (std::size_t r = 0; r < nreq; ++r) {
     batch_priority = std::max(batch_priority, requests[r].priority);
+    sorted = sorted && (r == 0 || requests[r].priority <= requests[r - 1].priority);
   }
-  for (int r : order) {
+  if (!sorted) {
+    state->order.resize(nreq);
+    std::iota(state->order.begin(), state->order.end(), 0);
+    std::stable_sort(state->order.begin(), state->order.end(), by_priority);
+  }
+  const int total = plan.total_tasks();
+  state->units.clear();
+  for (std::size_t i = 0; i < nreq; ++i) {
+    const int r = sorted ? static_cast<int>(i) : state->order[i];
     const auto rr = static_cast<std::size_t>(r);
-    const int ntasks = state->batch.task_offset[rr + 1] - state->batch.task_offset[rr];
-    for (int local = 0; local < ntasks; ++local) {
+    for (int local = 0; local < plan.task_offset[rr + 1] - plan.task_offset[rr]; ++local) {
       state->units.push_back({r, local});
     }
   }
@@ -386,40 +503,36 @@ std::vector<std::future<void>> Server::submit_batch(std::span<const AtaRequest<T
   // units; multi-task plans stay one unit per pool task so their stripes
   // spread over the pool. The target keeps several chunks per worker so
   // stealing can still balance an uneven batch.
+  const auto serial = [&plan](std::size_t req) {
+    return plan.task_offset[req + 1] - plan.task_offset[req] == 1;
+  };
   const int chunk_target =
       std::clamp(total / (std::max(1, pool_.concurrency()) * 8), 1, 64);
+  state->chunks.clear();
   for (int u = 0; u < total;) {
-    const int req = state->units[static_cast<std::size_t>(u)].req;
-    const int plan_idx = state->batch.plan_of_request[static_cast<std::size_t>(req)];
-    const bool serial =
-        state->batch.task_offset[static_cast<std::size_t>(req) + 1] -
-            state->batch.task_offset[static_cast<std::size_t>(req)] ==
-        1;
+    const auto req = static_cast<std::size_t>(state->units[static_cast<std::size_t>(u)].req);
     int len = 1;
-    if (serial) {
+    if (serial(req)) {
       while (u + len < total && len < chunk_target) {
-        const auto& next = state->units[static_cast<std::size_t>(u + len)];
-        const auto nr = static_cast<std::size_t>(next.req);
-        if (state->batch.plan_of_request[nr] != plan_idx ||
-            state->batch.task_offset[nr + 1] - state->batch.task_offset[nr] != 1) {
-          break;
-        }
+        const auto next =
+            static_cast<std::size_t>(state->units[static_cast<std::size_t>(u + len)].req);
+        if (plan.plan_of_request[next] != plan.plan_of_request[req] || !serial(next)) break;
         ++len;
       }
     }
     state->chunks.push_back({u, len});
     u += len;
   }
-  state->chunks_remaining.store(static_cast<int>(state->chunks.size()),
-                                std::memory_order_relaxed);
+  const int nchunks = static_cast<int>(state->chunks.size());
+  state->chunks_remaining.store(nchunks, std::memory_order_relaxed);
 
   // One warm call for the whole batch: the pool's high-water mark covers
   // the largest plan, so every task's arena request is satisfied from the
   // already-grown slot slabs (the zero-slab warm-path invariant).
   if constexpr (std::is_same_v<T, float>) {
-    pool_.warm_workspaces(state->batch.workspace_bound, 0);
+    pool_.warm_workspaces(plan.workspace_bound, 0);
   } else {
-    pool_.warm_workspaces(0, state->batch.workspace_bound);
+    pool_.warm_workspaces(0, plan.workspace_bound);
   }
 
   // Per-request completion: the unit that takes `remaining` to zero wins
@@ -431,25 +544,26 @@ std::vector<std::future<void>> Server::submit_batch(std::span<const AtaRequest<T
   // exception_ptr, and the acq_rel decrement chain publishes it to
   // whichever unit settles — so a failure surfaces on its own request's
   // future and never on the (discarded) pool-level batch future or on a
-  // sibling request.
-  Server* const server = this;
-  auto body = [state, server](int t, runtime::TaskContext& ctx) {
+  // sibling request. The body captures one pointer, so it lives in
+  // std::function's inline buffer.
+  auto body = [state](int t, runtime::TaskContext& ctx) {
+    Server* const server = state->server;
     const BatchChunk chunk = state->chunks[static_cast<std::size_t>(t)];
-    for (int u = chunk.first_unit; u < chunk.first_unit + chunk.nunits; ++u) {
+    const int last_unit = chunk.first_unit + chunk.nunits - 1;
+    for (int u = chunk.first_unit; u <= last_unit; ++u) {
       const BatchUnit unit = state->units[static_cast<std::size_t>(u)];
-      const int req = unit.req;
-      Ticket& ticket = *state->tickets[static_cast<std::size_t>(req)];
-      const AtaRequest<T>& r = state->requests[static_cast<std::size_t>(req)];
+      const auto req = static_cast<std::size_t>(unit.req);
+      Ticket& ticket = state->tickets[req];
+      const AtaRequest<T>& r = state->requests[req];
       const AtaPlan& plan =
-          *state->batch.plans[static_cast<std::size_t>(
-              state->batch.plan_of_request[static_cast<std::size_t>(req)])];
+          *state->batch.plans[static_cast<std::size_t>(state->batch.plan_of_request[req])];
       if (ticket.cancel.load(std::memory_order_acquire) == CancelReason::kNone) {
         const SteadyClock::time_point now = SteadyClock::now();
         if (now >= ticket.deadline) {
           // Expired before this unit computed: skip its leaf GEMMs and
           // every later unit's. Settle now only if no sibling started.
-          if (cancel(ticket, CancelReason::kDeadline) && server->claim_and_release(ticket)) {
-            server->fail_cancelled(ticket);
+          if (cancel(ticket, CancelReason::kDeadline) && claim(ticket)) {
+            server->finish<T>(&ticket, server->cancelled_error(ticket), nullptr);
           }
         } else {
           // `started` keeps -1 when this unit claims the start, and reads
@@ -462,68 +576,69 @@ std::vector<std::future<void>> Server::submit_batch(std::span<const AtaRequest<T
           if (started != Ticket::kNeverStarted) {
             try {
               if constexpr (fault::kEnabled) {
-                if (state->faults) {
-                  state->faults->maybe_slow_task();
-                  state->faults->maybe_throw_leaf();
+                if (server->faults_) {
+                  server->faults_->maybe_slow_task();
+                  server->faults_->maybe_throw_leaf();
                 }
               }
               run_plan_task(plan, unit.local, r.alpha, r.a, r.c, ctx);
             } catch (...) {
               bool claimed = false;
-              if (state->failed[req].compare_exchange_strong(claimed, true,
-                                                             std::memory_order_relaxed)) {
-                state->errors[static_cast<std::size_t>(req)] = std::current_exception();
+              if (ticket.failed.compare_exchange_strong(claimed, true,
+                                                        std::memory_order_relaxed)) {
+                ticket.error = std::current_exception();
               }
             }
           }
         }
       }
-      if (state->remaining[req].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        if (server->claim_and_release(ticket)) {
-          if (ticket.cancel.load(std::memory_order_acquire) != CancelReason::kNone) {
-            server->fail_cancelled(ticket);
-            continue;
-          }
-          server->completed_.fetch_add(1, std::memory_order_relaxed);
-          const std::int64_t started = ticket.started_ns.load(std::memory_order_acquire);
-          if (started >= 0) {
-            const std::int64_t done = ns_of(SteadyClock::now());
-            server->compute_.record(
-                done > started ? static_cast<std::uint64_t>(done - started) : 0);
-          }
-          if (state->failed[req].load(std::memory_order_relaxed)) {
-            ticket.promise.set_exception(state->errors[static_cast<std::size_t>(req)]);
-          } else {
-            ticket.promise.set_value();
-          }
-        }
+      if (ticket.remaining.fetch_sub(1, std::memory_order_acq_rel) != 1 || !claim(ticket)) {
+        continue;
       }
+      std::exception_ptr error;
+      if (ticket.cancel.load(std::memory_order_acquire) != CancelReason::kNone) {
+        error = server->cancelled_error(ticket);
+      } else {
+        server->completed_.fetch_add(1, std::memory_order_relaxed);
+        const std::int64_t started = ticket.started_ns.load(std::memory_order_acquire);
+        if (started >= 0) {
+          const std::int64_t done = ns_of(SteadyClock::now());
+          server->compute_.record(done > started ? static_cast<std::uint64_t>(done - started)
+                                                 : 0);
+        }
+        if (ticket.failed.load(std::memory_order_relaxed)) error = ticket.error;
+      }
+      // The last request of the last unfinished chunk settles and retires
+      // the batch under one gate acquisition (no other chunk can decrement
+      // a count of one: it is ours).
+      if (u == last_unit && state->chunks_remaining.load(std::memory_order_acquire) == 1) {
+        server->finish<T>(&ticket, std::move(error), state);
+        return;
+      }
+      server->finish<T>(&ticket, std::move(error), nullptr);
     }
     if (state->chunks_remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      server->on_batch_retired();
+      server->finish<T>(nullptr, nullptr, state);
     }
   };
 
-  const int nchunks = static_cast<int>(state->chunks.size());
-  const int nnodes = pool_.numa_nodes();
   runtime::SubmitOptions pool_opts;
   pool_opts.priority = batch_priority;
-  if (nnodes > 1) {
+  if (state->nnodes > 1) {
     // Round-robin *chunks* over nodes (small single-task requests are
     // the common case), while a request split into stripes keeps its
     // plan's stripe->node mapping, rotated by the request index.
-    pool_opts.preferred_node = [state, nnodes](int t) {
+    pool_opts.preferred_node = [state](int t) {
       const BatchChunk chunk = state->chunks[static_cast<std::size_t>(t)];
       const BatchUnit unit = state->units[static_cast<std::size_t>(chunk.first_unit)];
       const AtaPlan& plan =
           *state->batch.plans[static_cast<std::size_t>(
               state->batch.plan_of_request[static_cast<std::size_t>(unit.req)])];
-      const int pref = plan.preferred_node(unit.local, nnodes);
-      return pref < 0 ? unit.req % nnodes : (unit.req + pref) % nnodes;
+      const int pref = plan.preferred_node(unit.local, state->nnodes);
+      return pref < 0 ? unit.req % state->nnodes : (unit.req + pref) % state->nnodes;
     };
   }
   pool_.submit(nchunks, std::move(body), pool_opts);
-  return futures;
 }
 
 template <typename T>

@@ -30,14 +30,15 @@
 //
 // The warm serving path still performs zero schedule builds and zero
 // workspace slab allocations per request — the compile-once/execute-many
-// amortization the ROADMAP's repeated-traffic north star asks for; the
-// admission gate adds one mutex acquisition to it.
+// amortization the ROADMAP's repeated-traffic north star asks for — and no
+// heap allocation at all: batch states, tickets, pool batches and promise
+// shared states are recycled (DESIGN.md §8). A one-request batch takes the
+// gate mutex twice: once to admit, once to settle and retire.
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <memory>
 #include <span>
@@ -48,6 +49,7 @@
 #include "api/plan_cache.hpp"
 #include "common/fault.hpp"
 #include "metrics/latency.hpp"
+#include "runtime/recycler.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace atalib::api {
@@ -82,12 +84,17 @@ enum class CancelReason { kNone, kDeadline, kShed, kShutdown };
 /// kNeverStarted): if that CAS wins, no unit has computed and none can,
 /// so it settles at once; otherwise the unit that takes the request's
 /// remaining count to zero settles it with the recorded reason.
+///
+/// Tickets belong to a recycled batch state (server.cpp) and are reused
+/// across requests; a ticket joins the admission ledger *unarmed*
+/// (`settled` true, so the shed scan and the destructor sweep pass over it)
+/// and is armed once its promise exists.
 struct RequestTicket {
   /// started_ns once a canceller has claimed the not-started state.
   static constexpr std::int64_t kNeverStarted = -2;
 
   std::promise<void> promise;
-  std::atomic<bool> settled{false};
+  std::atomic<bool> settled{true};
   /// First early-settle cause (CAS from kNone); units that observe it
   /// skip their compute, and the settle raises the matching error.
   std::atomic<CancelReason> cancel{CancelReason::kNone};
@@ -97,7 +104,21 @@ struct RequestTicket {
   /// -1 until then, kNeverStarted after a canceller claimed it. Claimed by
   /// CAS so queue-wait is recorded once and no unit starts after a claim.
   std::atomic<std::int64_t> started_ns{-1};
+  /// Units not yet finished; the one taking it to zero settles.
+  std::atomic<int> remaining{0};
+  /// The first failing unit claims `failed` and writes `error`; the acq_rel
+  /// `remaining` countdown publishes it to whichever unit settles.
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;
+  /// Admission-ledger links (Server::gate_mu_).
+  RequestTicket* ledger_prev = nullptr;
+  RequestTicket* ledger_next = nullptr;
+  bool in_ledger = false;
 };
+
+/// One fused batch's reusable state (server.cpp).
+template <typename T>
+struct BatchState;
 
 }  // namespace detail
 
@@ -170,8 +191,8 @@ class Server {
   /// one future per request, in request order; a task failure surfaces on
   /// its own request's future only, and an expired request settles with
   /// DeadlineExceeded without computing. Validation is all-or-nothing: any
-  /// bad request throws std::invalid_argument before anything is enqueued
-  /// (the batch's admission is rolled back). Buffer-lifetime rules match
+  /// bad request throws std::invalid_argument before the batch is admitted.
+  /// Buffer-lifetime rules match
   /// submit(), per request. Requests of one batch share `opts` (and a
   /// scalar type).
   template <typename T>
@@ -203,13 +224,30 @@ class Server {
   using CancelReason = detail::CancelReason;
   using Clock = std::chrono::steady_clock;
 
-  /// Pass the admission gate for a batch of `nreq` requests; returns the
-  /// admission timestamp. Throws OverloadError/ServerShutdown per policy.
+  /// Enqueue `requests` as one fused pool batch and write one future per
+  /// request to `futures` — the body of submit() and submit_batch().
+  template <typename T>
+  void enqueue_batch(std::span<const AtaRequest<T>> requests, const SharedOptions& opts,
+                     std::future<void>* futures);
+  /// A batch state with room for `nreq` requests: recycled when one is
+  /// idle, else new.
+  template <typename T>
+  detail::BatchState<T>* acquire_state(std::size_t nreq);
+  /// Return a retired state to its free list (bounded; the caller deletes
+  /// what comes back). Runs under gate_mu_ so ~Server cannot free the list
+  /// under it.
+  template <typename T>
+  detail::BatchState<T>* recycle(detail::BatchState<T>* state) ATALIB_REQUIRES(gate_mu_);
+  /// Pass the admission gate for a batch of `nreq` unarmed tickets and
+  /// link them into the ledger, in one critical section; returns when the
+  /// gate passed. Throws OverloadError/ServerShutdown per policy.
   /// Re-entrant submissions (from inside a pool task, which execute
   /// inline) bypass the bounds — blocking there would deadlock the worker.
-  Clock::time_point admit(std::size_t nreq);
-  /// Roll back an admit() whose batch failed validation/planning.
-  void unadmit(std::size_t nreq);
+  Clock::time_point admit(Ticket* tickets, std::size_t nreq);
+  /// Roll back an admit() whose batch failed planning.
+  void unadmit(Ticket* tickets, std::size_t nreq);
+  void link(Ticket& t) ATALIB_REQUIRES(gate_mu_);
+  void unlink(Ticket& t) ATALIB_REQUIRES(gate_mu_);
   /// Cancel every ledger ticket whose deadline has passed; those no unit
   /// has started settle with DeadlineExceeded now, the rest when their
   /// last unit exits. Returns how many settled now (capacity freed).
@@ -220,16 +258,16 @@ class Server {
   static bool cancel(Ticket& t, CancelReason why);
   /// Win the settle CAS or return false.
   static bool claim(Ticket& t);
-  /// claim(), plus the winner's slot release + ledger trim (under
-  /// gate_mu_).
-  bool claim_and_release(Ticket& t);
-  /// Settle a cancelled ticket whose claim the caller won: raise the error
-  /// for its recorded reason and count it.
-  void fail_cancelled(Ticket& t);
-  /// Called by the last task of a batch: the final server-state touch of
-  /// any admitted batch — ~Server waits for queued_batches_ == 0, so the
-  /// server outlives every task-side access.
-  void on_batch_retired();
+  /// The error a cancelled ticket settles with; counts the outcome.
+  std::exception_ptr cancelled_error(const Ticket& t);
+  /// Release a claimed ticket's admission slot (`settled`) and/or retire a
+  /// finished batch (`retired`), recycling its state, under ONE gate_mu_
+  /// acquisition; then fulfil the ticket's promise (null `error` = value).
+  /// Retirement is the final server-state touch of any admitted batch —
+  /// ~Server waits for queued_batches_ == 0, so the server outlives every
+  /// task-side access.
+  template <typename T>
+  void finish(Ticket* settled, std::exception_ptr error, detail::BatchState<T>* retired);
 
   PlanCache cache_;
 
@@ -238,8 +276,7 @@ class Server {
   std::size_t max_batches_;
   AdmissionPolicy policy_;
   /// Parsed ATALIB_FAULTS plan (null unless the build enables injection
-  /// and the variable is set). Shared with batch states so hooks keep
-  /// working while the server tears down.
+  /// and the variable is set).
   std::shared_ptr<const fault::Plan> faults_;
 
   // Monotonic outcome counters (relaxed; see metrics::ServerStats).
@@ -255,18 +292,32 @@ class Server {
   metrics::LatencyHistogram compute_;
 
   /// The admission gate. Guards the two in-flight gauges, the shutdown
-  /// flag, and the ledger of admitted-unsettled tickets (oldest first) the
-  /// shed scan and destructor sweep walk. Settled tickets are trimmed from
-  /// the front lazily on every release.
+  /// flag, and the ledger of admitted-unsettled tickets (oldest first, an
+  /// intrusive list through the tickets) the shed scan and destructor
+  /// sweep walk. A ticket leaves the ledger when it settles.
   mutable Mutex gate_mu_;
   std::condition_variable_any gate_cv_;
   std::size_t inflight_requests_ ATALIB_GUARDED_BY(gate_mu_) = 0;
   std::size_t queued_batches_ ATALIB_GUARDED_BY(gate_mu_) = 0;
   /// kBlock admitters currently inside gate_cv_.wait; ~Server waits for
   /// them to drain so no thread still waits on the cv when it destructs.
+  /// Releases notify gate_cv_ only while someone waits on it.
   std::size_t gate_waiters_ ATALIB_GUARDED_BY(gate_mu_) = 0;
   bool shutting_down_ ATALIB_GUARDED_BY(gate_mu_) = false;
-  std::deque<std::shared_ptr<Ticket>> ledger_ ATALIB_GUARDED_BY(gate_mu_);
+  Ticket* ledger_head_ ATALIB_GUARDED_BY(gate_mu_) = nullptr;
+  Ticket* ledger_tail_ ATALIB_GUARDED_BY(gate_mu_) = nullptr;
+
+  /// Idle batch states per scalar type (DESIGN.md §8). They fill lazily,
+  /// keep their vectors' capacity and their tickets, and are bounded in
+  /// count and in total tickets.
+  Mutex free_mu_;
+  detail::BatchState<float>* free_f32_ ATALIB_GUARDED_BY(free_mu_) = nullptr;
+  detail::BatchState<double>* free_f64_ ATALIB_GUARDED_BY(free_mu_) = nullptr;
+  std::size_t idle_states_ ATALIB_GUARDED_BY(free_mu_) = 0;
+  std::size_t idle_tickets_ ATALIB_GUARDED_BY(free_mu_) = 0;
+  /// Shared states of the request futures; outlives the server while a
+  /// client still holds one.
+  runtime::BlockRecycler* blocks_;
 
   /// Declared last so it destructs FIRST: ~ThreadPool joins the workers,
   /// and that join is what guarantees no worker is still inside a mutex

@@ -5,26 +5,23 @@
 
 #include "blas/syrk.hpp"
 #include "matrix/matrix.hpp"
-#include "strassen/recursive_gemm.hpp"
 #include "strassen/strassen.hpp"
 #include "strassen/workspace.hpp"
 
 namespace atalib {
 namespace {
 
-// Algorithm 1, lines 5-12, parameterized over the off-diagonal multiplier
-// so AtA (FastStrassen) and AtANaive (RecursiveGEMM) share the recursion.
-// `syrk_arena` feeds the base-case syrk's packed panels (nullptr = the leaf
-// kernel's thread-local fallback, used only by the naive baseline).
-template <typename T, typename Gemm>
+// Algorithm 1, lines 5-12. `arena` feeds both the base-case syrk's packed
+// panels and the off-diagonal Strassen products' temporaries.
+template <typename T>
 void ata_rec(T alpha, ConstMatrixView<T> a, MatrixView<T> c, index_t base_elements,
-             const RecurseOptions& opts, Arena<T>* syrk_arena, Gemm&& gemm_tn_off) {
+             const RecurseOptions& opts, Arena<T>& arena) {
   const index_t m = a.rows, n = a.cols;
   assert(c.rows == n && c.cols == n);
   if (m == 0 || n == 0) return;
   // Algorithm 1 line 2: block fits in cache -> BLAS ?syrk.
   if (ata_base_case(m, n, base_elements, opts.min_dim)) {
-    blas::syrk_ln(alpha, a, c, syrk_arena);
+    blas::syrk_ln(alpha, a, c, &arena);
     return;
   }
   const index_t m1 = half_up(m), m2 = half_down(m);
@@ -39,14 +36,14 @@ void ata_rec(T alpha, ConstMatrixView<T> a, MatrixView<T> c, index_t base_elemen
   auto C22 = c.block(n1, n1, n2, n2);
 
   // C11 = A11^T A11 + A21^T A21 (lines 7-8).
-  ata_rec(alpha, A11, C11, base_elements, opts, syrk_arena, gemm_tn_off);
-  ata_rec(alpha, A21, C11, base_elements, opts, syrk_arena, gemm_tn_off);
+  ata_rec(alpha, A11, C11, base_elements, opts, arena);
+  ata_rec(alpha, A21, C11, base_elements, opts, arena);
   // C22 = A12^T A12 + A22^T A22 (lines 9-10).
-  ata_rec(alpha, A12, C22, base_elements, opts, syrk_arena, gemm_tn_off);
-  ata_rec(alpha, A22, C22, base_elements, opts, syrk_arena, gemm_tn_off);
+  ata_rec(alpha, A12, C22, base_elements, opts, arena);
+  ata_rec(alpha, A22, C22, base_elements, opts, arena);
   // C21 = A12^T A11 + A22^T A21 (lines 11-12). C12 = C21^T is never formed.
-  gemm_tn_off(alpha, A12, A11, C21);
-  gemm_tn_off(alpha, A22, A21, C21);
+  strassen_tn(alpha, A12, A11, C21, arena, opts);
+  strassen_tn(alpha, A22, A21, C21, arena, opts);
 }
 
 }  // namespace
@@ -55,10 +52,7 @@ template <typename T>
 void ata(T alpha, ConstMatrixView<T> a, MatrixView<T> c, Arena<T>& arena,
          const RecurseOptions& opts) {
   const index_t base = opts.resolved_base_elements(sizeof(T));
-  ata_rec(alpha, a, c, base, opts, &arena,
-          [&](T al, ConstMatrixView<T> x, ConstMatrixView<T> y, MatrixView<T> z) {
-            strassen_tn(al, x, y, z, arena, opts);
-          });
+  ata_rec(alpha, a, c, base, opts, arena);
 }
 
 template <typename T>
@@ -103,23 +97,13 @@ void aat(T alpha, ConstMatrixView<T> a, MatrixView<T> c, const RecurseOptions& o
   aat(alpha, a, c, arena, opts);
 }
 
-template <typename T>
-void ata_naive(T alpha, ConstMatrixView<T> a, MatrixView<T> c, const RecurseOptions& opts) {
-  const index_t base = opts.resolved_base_elements(sizeof(T));
-  ata_rec(alpha, a, c, base, opts, static_cast<Arena<T>*>(nullptr),
-          [&](T al, ConstMatrixView<T> x, ConstMatrixView<T> y, MatrixView<T> z) {
-            recursive_gemm_tn(al, x, y, z, opts);
-          });
-}
-
 #define ATALIB_ATA_INST(T)                                                             \
   template void ata<T>(T, ConstMatrixView<T>, MatrixView<T>, Arena<T>&,               \
                        const RecurseOptions&);                                         \
   template void ata<T>(T, ConstMatrixView<T>, MatrixView<T>, const RecurseOptions&);  \
   template void aat<T>(T, ConstMatrixView<T>, MatrixView<T>, Arena<T>&,               \
                        const RecurseOptions&);                                        \
-  template void aat<T>(T, ConstMatrixView<T>, MatrixView<T>, const RecurseOptions&);  \
-  template void ata_naive<T>(T, ConstMatrixView<T>, MatrixView<T>, const RecurseOptions&)
+  template void aat<T>(T, ConstMatrixView<T>, MatrixView<T>, const RecurseOptions&)
 ATALIB_ATA_INST(float);
 ATALIB_ATA_INST(double);
 #undef ATALIB_ATA_INST

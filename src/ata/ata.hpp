@@ -50,22 +50,13 @@ void aat(T alpha, ConstMatrixView<T> a, MatrixView<T> c, const RecurseOptions& o
 index_t aat_workspace_bound(index_t m, index_t n, const RecurseOptions& opts,
                             std::size_t elem_bytes);
 
-/// AtANaive: same AtA recursion but with RecursiveGEMM for the C21 block
-/// instead of Strassen. This is the algorithm whose recursion tree the
-/// parallel schedulers simulate (§4.1.3) and an allocation-free cubic
-/// AtA baseline in its own right.
-template <typename T>
-void ata_naive(T alpha, ConstMatrixView<T> a, MatrixView<T> c, const RecurseOptions& opts = {});
-
 #define ATALIB_ATA_EXTERN(T)                                                               \
   extern template void ata<T>(T, ConstMatrixView<T>, MatrixView<T>, Arena<T>&,            \
                               const RecurseOptions&);                                      \
   extern template void ata<T>(T, ConstMatrixView<T>, MatrixView<T>, const RecurseOptions&); \
   extern template void aat<T>(T, ConstMatrixView<T>, MatrixView<T>, Arena<T>&,            \
                               const RecurseOptions&);                                      \
-  extern template void aat<T>(T, ConstMatrixView<T>, MatrixView<T>, const RecurseOptions&); \
-  extern template void ata_naive<T>(T, ConstMatrixView<T>, MatrixView<T>,                 \
-                                    const RecurseOptions&)
+  extern template void aat<T>(T, ConstMatrixView<T>, MatrixView<T>, const RecurseOptions&)
 ATALIB_ATA_EXTERN(float);
 ATALIB_ATA_EXTERN(double);
 #undef ATALIB_ATA_EXTERN

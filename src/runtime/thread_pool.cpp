@@ -1,6 +1,7 @@
 #include "runtime/thread_pool.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "common/checked.hpp"
@@ -21,6 +22,18 @@ thread_local int tl_task_depth = 0;
 /// Depth of inline batch execution on the current thread (see run()).
 thread_local int tl_inline_depth = 0;
 
+/// Idle Batch objects a pool keeps for reuse, and how many it allocates
+/// at once when none is idle. A warm serving pool cycles through about as
+/// many as it has batches in flight.
+constexpr int kMaxIdleBatches = 256;
+constexpr int kBatchRefill = 8;
+
+/// Hinted-enqueue scratch, per client thread so placement is computed
+/// outside the pool mutex and allocates nothing once warm: each task's
+/// slot, and each node's round-robin cursor.
+thread_local std::vector<int> tl_hint_slot;
+thread_local std::vector<int> tl_node_cursor;
+
 /// Workspace for inline execution paths (re-entrant or one-task batches).
 /// Thread-local so concurrent inline clients never share arenas, and
 /// persistent so even the inline path reuses its slab across calls.
@@ -31,7 +44,8 @@ Workspace& inline_workspace() {
 
 }  // namespace
 
-ThreadPool::ThreadPool(int threads) : topo_(probe_numa_topology()) {
+ThreadPool::ThreadPool(int threads)
+    : topo_(probe_numa_topology()), blocks_(BlockRecycler::create()) {
   int n = threads > 0 ? threads : static_cast<int>(std::thread::hardware_concurrency());
   n = std::max(1, n);
   // Block slots over nodes proportionally to each node's CPU share, so a
@@ -82,6 +96,14 @@ ThreadPool::~ThreadPool() {
   }
   work_cv_.notify_all();
   for (auto& t : threads_) t.join();
+  {
+    MutexLock lk(mu_);
+    while (free_batches_ != nullptr) {
+      delete std::exchange(free_batches_, free_batches_->next_free);
+    }
+  }
+  // Futures a client still holds keep the recycler alive until released.
+  blocks_->release();
 }
 
 ThreadPool& ThreadPool::global() {
@@ -119,7 +141,11 @@ void ThreadPool::worker_main(int slot) {
   std::uint64_t seen = 0;
   UniqueLock lk(mu_);
   while (true) {
-    while (!stop_ && generation_ == seen) work_cv_.wait(lk);
+    while (!stop_ && generation_ == seen) {
+      ++parked_;
+      work_cv_.wait(lk);
+      --parked_;
+    }
     if (stop_) return;
     seen = generation_;
     if (slot_warm_seen_[static_cast<std::size_t>(slot)] != warm_epoch_) {
@@ -153,62 +179,65 @@ void ThreadPool::worker_main(int slot) {
 
 void ThreadPool::drain(int slot) {
   Item item;
-  while (try_pop(slot, item) || try_steal(slot, item)) {
-    execute(slot, std::move(item));
-    item = Item{};
-  }
+  while (try_pop(slot, item) || try_steal(slot, item)) execute(slot, item);
 }
 
-void ThreadPool::drain_for(int slot, const Batch& batch) {
-  // Like drain(), but stops once `batch` has retired: a run() caller is
-  // glad to help with whatever is queued while its own batch is pending
-  // (including other clients' tasks — that's throughput), but it must not
-  // be conscripted into an unbounded stream of foreign work after its
-  // batch completed.
+void ThreadPool::drain_for(int slot, const std::future<void>& done) {
+  // Like drain(), but stops once the caller's batch has retired: a run()
+  // caller is glad to help with whatever is queued while its own batch is
+  // pending (including other clients' tasks — that's throughput), but it
+  // must not be conscripted into an unbounded stream of foreign work after
+  // its batch completed. A zero-timeout wait_for is one atomic load.
   Item item;
-  while (batch.remaining.load(std::memory_order_acquire) != 0 &&
+  while (done.wait_for(std::chrono::seconds(0)) != std::future_status::ready &&
          (try_pop(slot, item) || try_steal(slot, item))) {
-    execute(slot, std::move(item));
-    item = Item{};
+    execute(slot, item);
   }
 }
 
-std::deque<ThreadPool::Item>& ThreadPool::class_for(Queue& q, int priority) {
+void ThreadPool::Ring::grow() {
+  std::vector<Item> next(std::max<std::size_t>(16, 2 * buf_.size()));
+  for (std::size_t i = 0; i < size_; ++i) next[i] = buf_[(head_ + i) & (buf_.size() - 1)];
+  buf_.swap(next);
+  head_ = 0;
+}
+
+ThreadPool::Ring& ThreadPool::class_for(Queue& q, int priority) {
   // Classes stay sorted descending; the common case (priority 0, one
   // class) hits the scan's first element.
   auto it = q.classes.begin();
   while (it != q.classes.end() && it->priority > priority) ++it;
-  if (it == q.classes.end() || it->priority != priority) {
-    it = q.classes.insert(it, Queue::Class{priority, {}});
+  if (it != q.classes.end() && it->priority == priority) return it->tasks;
+  // A new priority: drop the idle classes first so distinct priorities
+  // seen over time do not accumulate.
+  std::erase_if(q.classes, [](const Queue::Class& c) { return c.tasks.empty(); });
+  it = q.classes.begin();
+  while (it != q.classes.end() && it->priority > priority) ++it;
+  return q.classes.insert(it, Queue::Class{priority, {}})->tasks;
+}
+
+bool ThreadPool::take(Queue& q, bool front, Item& item) {
+  if (q.size.load(std::memory_order_relaxed) == 0) return false;
+  MutexLock lk(q.mu);
+  // Highest non-empty priority class first (classes are sorted
+  // descending). Within the class the owner pops its front and thieves
+  // take the back, so the two ends never contend on one task.
+  for (auto& c : q.classes) {
+    if (c.tasks.empty()) continue;
+    item = front ? c.tasks.pop_front() : c.tasks.pop_back();
+    q.size.store(q.size.load(std::memory_order_relaxed) - 1, std::memory_order_relaxed);
+    queued_tasks_.fetch_sub(1, std::memory_order_relaxed);
+    return true;
   }
-  return it->tasks;
+  return false;
 }
 
 bool ThreadPool::try_pop(int slot, Item& item) {
-  Queue& q = *queues_[static_cast<std::size_t>(slot)];
-  MutexLock lk(q.mu);
-  if (q.classes.empty()) return false;
-  // Highest priority class first (classes are sorted descending), hot end.
-  auto& tasks = q.classes.front().tasks;
-  item = std::move(tasks.front());
-  tasks.pop_front();
-  if (tasks.empty()) q.classes.erase(q.classes.begin());
-  queued_tasks_.fetch_sub(1, std::memory_order_relaxed);
-  return true;
+  return take(*queues_[static_cast<std::size_t>(slot)], /*front=*/true, item);
 }
 
 bool ThreadPool::try_steal_from(int thief, int victim, Item& item) {
-  Queue& q = *queues_[static_cast<std::size_t>(victim)];
-  MutexLock lk(q.mu);
-  if (q.classes.empty()) return false;
-  // Steal from the cold end of the *highest* class: priority governs which
-  // class drains, while within the class the victim pops its own front and
-  // thieves take the back, so the two ends never contend on one task.
-  auto& tasks = q.classes.front().tasks;
-  item = std::move(tasks.back());
-  tasks.pop_back();
-  if (tasks.empty()) q.classes.erase(q.classes.begin());
-  queued_tasks_.fetch_sub(1, std::memory_order_relaxed);
+  if (!take(*queues_[static_cast<std::size_t>(victim)], /*front=*/false, item)) return false;
   if (node_of_slot(victim) == node_of_slot(thief)) {
     local_steals_.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -257,74 +286,66 @@ void ThreadPool::execute(int slot, Item item) {
   ctx.workspace = workspaces_[static_cast<std::size_t>(slot)].get();
   ++tl_task_depth;
   try {
-    batch.fn(item.task, ctx);
+    (*batch.fn)(item.task, ctx);
   } catch (...) {
     MutexLock lk(batch.err_mu);
     if (!batch.first_error) batch.first_error = std::current_exception();
   }
   --tl_task_depth;
-  if (batch.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Last task: retire the batch. Deregister before fulfilling the
-    // promise so a warm waiting for quiescence and a client waking on the
-    // future observe a consistent order.
-    {
-      MutexLock lk(mu_);
-      --active_batches_;
-      if (active_batches_ == 0 && warm_waiters_ > 0) quiesce_cv_.notify_all();
-    }
-    // No task of this batch is running anymore (the acq_rel countdown
-    // orders their error writes before this read; err_mu is uncontended
-    // here and keeps the guarded access visible to the analysis).
-    std::exception_ptr err;
-    {
-      MutexLock lk(batch.err_mu);
-      err = batch.first_error;
-    }
-    if (err) {
-      batch.done.set_exception(err);
+  if (batch.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) retire(batch);
+}
+
+void ThreadPool::retire(Batch& batch) {
+  // No task of this batch is running anymore (the acq_rel countdown
+  // orders their error writes before this read; err_mu is uncontended
+  // here and keeps the guarded access visible to the analysis).
+  std::exception_ptr err;
+  {
+    MutexLock lk(batch.err_mu);
+    err = std::exchange(batch.first_error, nullptr);
+  }
+  // Release the body's captures before the client wakes, and take the
+  // promise out so the batch can be reused before it is fulfilled.
+  batch.owned = nullptr;
+  std::promise<void> done = std::move(batch.done.value());
+  batch.done.reset();
+  {
+    // Deregister before fulfilling the promise so a warm waiting for
+    // quiescence and a client waking on the future observe a consistent
+    // order.
+    MutexLock lk(mu_);
+    --active_batches_;
+    if (active_batches_ == 0 && warm_waiters_ > 0) quiesce_cv_.notify_all();
+    if (nfree_batches_ < kMaxIdleBatches) {
+      batch.next_free = std::exchange(free_batches_, &batch);
+      ++nfree_batches_;
     } else {
-      batch.done.set_value();
+      delete &batch;
     }
+  }
+  if (err) {
+    done.set_exception(err);
+  } else {
+    done.set_value();
   }
 }
 
-std::shared_ptr<ThreadPool::Batch> ThreadPool::enqueue(int ntasks, TaskFn fn, int dist_slots,
-                                                       const NodeHintFn* hint, int priority) {
-  auto batch = std::make_shared<Batch>(ntasks, std::move(fn), priority);
-  {
-    // Register before any queue push: a pending warm must either see this
-    // batch as active or admit it only after the warm finished — never
-    // mutate slot workspaces while our tasks are poppable.
-    UniqueLock lk(mu_);
-    while (warm_waiters_ != 0) quiesce_cv_.wait(lk);
-    ++active_batches_;
-  }
+std::future<void> ThreadPool::enqueue(int ntasks, TaskFn owned, const TaskFn* fn,
+                                      int dist_slots, const NodeHintFn* hint, int priority,
+                                      bool rotate) {
+  std::promise<void> done = make_promise();
+  std::future<void> fut = done.get_future();
   const int nnodes = topo_.num_nodes();
-  if (hint == nullptr || nnodes == 0) {
-    // Block distribution: slot s owns a contiguous chunk of task ids, so
-    // the schedule's home-worker hints translate into locality; stealing
-    // rebalances from there.
-    for (int s = 0; s < dist_slots; ++s) {
-      const int lo = static_cast<int>(static_cast<long long>(ntasks) * s / dist_slots);
-      const int hi = static_cast<int>(static_cast<long long>(ntasks) * (s + 1) / dist_slots);
-      if (hi == lo) continue;
-      Queue& q = *queues_[static_cast<std::size_t>(s)];
-      MutexLock qlk(q.mu);
-      auto& tasks = class_for(q, priority);
-      for (int t = lo; t < hi; ++t) tasks.push_back(Item{batch, t});
-      queued_tasks_.fetch_add(static_cast<std::uint64_t>(hi - lo),
-                              std::memory_order_relaxed);
-      scheduled_per_node_[static_cast<std::size_t>(node_of_slot(s))].fetch_add(
-          static_cast<std::uint64_t>(hi - lo), std::memory_order_relaxed);
-    }
-  } else {
-    // Hinted distribution: bucket task t onto the slots of its preferred
+  const bool hinted = hint != nullptr && nnodes > 0;
+  if (hinted) {
+    // Hinted distribution: place task t on the slots of its preferred
     // node, round-robin within the node so same-node slots share the
     // node's work evenly. Nodes whose slots are all beyond dist_slots
     // (e.g. a single-slot last node excluded by a submit()) and negative
-    // hints fall back to a flat rotation.
-    std::vector<std::vector<int>> bucket(static_cast<std::size_t>(dist_slots));
-    std::vector<int> cursor(static_cast<std::size_t>(nnodes), 0);
+    // hints fall back to a flat rotation. The caller's hint runs here,
+    // before the pool mutex is taken.
+    tl_hint_slot.resize(static_cast<std::size_t>(ntasks));
+    tl_node_cursor.assign(static_cast<std::size_t>(nnodes), 0);
     int flat_cursor = 0;
     for (int t = 0; t < ntasks; ++t) {
       const int h = (*hint)(t);
@@ -337,33 +358,90 @@ std::shared_ptr<ThreadPool::Batch> ThreadPool::enqueue(int ntasks, TaskFn fn, in
           if (s < dist_slots) ++eligible;
         }
         if (eligible > 0) {
-          int& cur = cursor[static_cast<std::size_t>(node)];
+          int& cur = tl_node_cursor[static_cast<std::size_t>(node)];
           slot = slots[static_cast<std::size_t>(cur % eligible)];
           ++cur;
         }
       }
       if (slot < 0) slot = (flat_cursor++) % dist_slots;
-      bucket[static_cast<std::size_t>(slot)].push_back(t);
+      tl_hint_slot[static_cast<std::size_t>(t)] = slot;
     }
-    for (int s = 0; s < dist_slots; ++s) {
-      const auto& ids = bucket[static_cast<std::size_t>(s)];
-      if (ids.empty()) continue;
+  }
+  int wake = 0;
+  {
+    // Register before any queue push: a pending warm must either see this
+    // batch as active or admit it only after the warm finished — never
+    // mutate slot workspaces while our tasks are poppable. The pushes and
+    // the generation bump share the same critical section, so a worker
+    // that finds no new generation under mu_ cannot miss our tasks.
+    UniqueLock lk(mu_);
+    while (warm_waiters_ != 0) quiesce_cv_.wait(lk);
+    if (free_batches_ == nullptr) {
+      // Refill a few at once: the worker that retires a batch fulfils its
+      // future only after recycling it, but a request served by the
+      // Server wakes its client from inside the task, before the batch
+      // retires, so a client re-submitting at once briefly needs a spare.
+      for (int i = 0; i < kBatchRefill; ++i) {
+        Batch* spare = new Batch;
+        spare->next_free = std::exchange(free_batches_, spare);
+        ++nfree_batches_;
+      }
+    }
+    Batch* batch = std::exchange(free_batches_, free_batches_->next_free);
+    --nfree_batches_;
+    batch->owned = std::move(owned);
+    batch->fn = fn != nullptr ? fn : &batch->owned;
+    batch->remaining.store(ntasks, std::memory_order_relaxed);
+    batch->priority = priority;
+    batch->done.emplace(std::move(done));
+    ++active_batches_;
+
+    const auto push = [&](int s, int lo, int hi, const int* ids) {
       Queue& q = *queues_[static_cast<std::size_t>(s)];
       MutexLock qlk(q.mu);
-      auto& tasks = class_for(q, priority);
-      for (int t : ids) tasks.push_back(Item{batch, t});
-      queued_tasks_.fetch_add(ids.size(), std::memory_order_relaxed);
+      Ring& tasks = class_for(q, priority);
+      int pushed = 0;
+      for (int t = lo; t < hi; ++t) {
+        if (ids != nullptr && ids[t] != s) continue;
+        tasks.push_back(Item{batch, t});
+        ++pushed;
+      }
+      q.size.store(q.size.load(std::memory_order_relaxed) + pushed, std::memory_order_relaxed);
+      queued_tasks_.fetch_add(static_cast<std::uint64_t>(pushed), std::memory_order_relaxed);
       scheduled_per_node_[static_cast<std::size_t>(node_of_slot(s))].fetch_add(
-          ids.size(), std::memory_order_relaxed);
+          static_cast<std::uint64_t>(pushed), std::memory_order_relaxed);
+    };
+    if (!hinted) {
+      // Block distribution: slot s owns a contiguous chunk of task ids, so
+      // the schedule's home-worker hints translate into locality; stealing
+      // rebalances from there. A queued batch with fewer tasks than slots
+      // starts at a rotating slot, so a stream of one-task batches spreads
+      // over every worker's queue instead of piling onto the last one.
+      int home = 0;
+      if (rotate && ntasks < dist_slots) {
+        home = next_home_ % dist_slots;
+        next_home_ = (home + ntasks) % dist_slots;
+      }
+      for (int s = 0; s < dist_slots; ++s) {
+        const int lo = static_cast<int>(static_cast<long long>(ntasks) * s / dist_slots);
+        const int hi = static_cast<int>(static_cast<long long>(ntasks) * (s + 1) / dist_slots);
+        if (hi > lo) push((s + home) % dist_slots, lo, hi, nullptr);
+      }
+    } else {
+      for (int s = 0; s < dist_slots; ++s) {
+        if (std::find(tl_hint_slot.begin(), tl_hint_slot.end(), s) != tl_hint_slot.end()) {
+          push(s, 0, ntasks, tl_hint_slot.data());
+        }
+      }
     }
-  }
-  {
-    MutexLock lk(mu_);
     ++generation_;
+    wake = std::min(ntasks, parked_);
   }
   batches_.fetch_add(1, std::memory_order_relaxed);
-  work_cv_.notify_all();
-  return batch;
+  // Wake only as many parked workers as there are tasks; busy workers
+  // find the new generation themselves before they park.
+  for (int i = 0; i < wake; ++i) work_cv_.notify_one();
+  return fut;
 }
 
 void ThreadPool::run_inline(int ntasks, const TaskFn& fn) {
@@ -393,29 +471,28 @@ void ThreadPool::run(int ntasks, const TaskFn& fn, const NodeHintFn& preferred_n
     run_inline(ntasks, fn);
     return;
   }
-  auto batch = enqueue(ntasks, fn, nslots, preferred_node ? &preferred_node : nullptr,
-                       /*priority=*/0);
-  std::future<void> done = batch->done.get_future();
+  // fn outlives the batch (this call blocks until it retires), so the
+  // tasks call it in place instead of a copy.
+  std::future<void> done = enqueue(ntasks, nullptr, &fn, nslots,
+                                   preferred_node ? &preferred_node : nullptr,
+                                   /*priority=*/0, /*rotate=*/false);
   // Participate as the caller slot if no other concurrent caller claimed
   // it; otherwise just wait (two callers must not share slot workspaces).
   bool expected = false;
   if (caller_slot_busy_.compare_exchange_strong(expected, true)) {
-    drain_for(nslots - 1, *batch);
+    drain_for(nslots - 1, done);
     caller_slot_busy_.store(false, std::memory_order_release);
   }
   done.get();  // waits for stolen stragglers; rethrows the first task error
 }
 
 std::future<void> ThreadPool::submit(int ntasks, TaskFn fn, const SubmitOptions& opts) {
-  std::promise<void> ready;
-  if (ntasks <= 0) {
-    ready.set_value();
-    return ready.get_future();
-  }
   const int nslots = concurrency();
-  if (tl_task_depth > 0 || tl_inline_depth > 0 || nslots == 1) {
-    // No hand-off possible (workerless pool) or nested in a task: execute
-    // inline now so the returned future can never deadlock a waiter.
+  if (ntasks <= 0 || tl_task_depth > 0 || tl_inline_depth > 0 || nslots == 1) {
+    // Nothing to run, no hand-off possible (workerless pool), or nested in
+    // a task: execute inline now so the returned future can never
+    // deadlock a waiter.
+    std::promise<void> ready = make_promise();
     try {
       run_inline(ntasks, fn);
       ready.set_value();
@@ -426,9 +503,9 @@ std::future<void> ThreadPool::submit(int ntasks, TaskFn fn, const SubmitOptions&
   }
   // Distribute over the worker slots only — nobody drains the caller slot
   // on this path until a worker steals from it.
-  auto batch = enqueue(ntasks, std::move(fn), nslots - 1,
-                       opts.preferred_node ? &opts.preferred_node : nullptr, opts.priority);
-  return batch->done.get_future();
+  return enqueue(ntasks, std::move(fn), nullptr, nslots - 1,
+                 opts.preferred_node ? &opts.preferred_node : nullptr, opts.priority,
+                 /*rotate=*/true);
 }
 
 void ThreadPool::warm_workspaces(std::size_t float_elems, std::size_t double_elems) {

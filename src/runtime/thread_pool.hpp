@@ -50,7 +50,7 @@
 // above), and raise the mark. New batch admissions queue behind a waiting
 // warm so it cannot be starved.
 //
-// Queues are tiny-critical-section mutex deques, not lock-free Chase-Lev:
+// Queues are tiny-critical-section mutex rings, not lock-free Chase-Lev:
 // tasks here are matrix multiplications (micro- to milliseconds), so queue
 // overhead is noise, and the mutex makes the exactly-once pop guarantee
 // trivially auditable (see tests/test_runtime.cpp integrity test).
@@ -65,16 +65,17 @@
 // layer's rank pool guarantees by holding the RankPoolLease mutex for the
 // whole communicator batch (src/dist/rank_pool.hpp). Do not change the
 // distribution scheme without this invariant. (Hinted admission
-// distributes differently, but the rank pool never passes hints, so the
-// invariant binds only the unhinted path.)
+// distributes differently, and queued submit() batches smaller than the
+// worker count start at a rotating slot, but the rank pool uses neither,
+// so the invariant binds only unhinted run().)
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <future>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -82,6 +83,7 @@
 #include "common/thread_annotations.hpp"
 #include "metrics/numa_stats.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/recycler.hpp"
 
 namespace atalib::runtime {
 
@@ -215,55 +217,104 @@ class ThreadPool {
 
  private:
   /// One admitted batch: body, countdown, first task error, completion.
+  /// Retired batches go back to a bounded free list (guarded by mu_) before
+  /// their future is fulfilled, and are reused, so a warm admission
+  /// allocates nothing.
   struct Batch {
-    Batch(int ntasks, TaskFn body, int prio)
-        : fn(std::move(body)), remaining(ntasks), priority(prio) {}
-    TaskFn fn;
-    std::atomic<int> remaining;
-    int priority;  // queue class its tasks were enqueued under
-    Mutex err_mu;  // serializes concurrent failing tasks
+    TaskFn owned;                 ///< submit()'s body; empty for run()
+    const TaskFn* fn = nullptr;   ///< what tasks call: &owned, or run()'s caller's fn
+    std::atomic<int> remaining{0};
+    int priority = 0;  // queue class its tasks were enqueued under
+    Mutex err_mu;      // serializes concurrent failing tasks
     std::exception_ptr first_error ATALIB_GUARDED_BY(err_mu);
-    std::promise<void> done;
+    std::optional<std::promise<void>> done;  ///< set while admitted
+    Batch* next_free = nullptr;  ///< free-list link (under mu_)
   };
 
-  /// Queue entry; the shared_ptr keeps the batch alive until its last
-  /// task (and the completion it triggers) has run.
+  /// Queue entry. The batch stays alive (not recycled) until its last task
+  /// has run and retired it.
   struct Item {
-    std::shared_ptr<Batch> batch;
+    Batch* batch = nullptr;
     int task = -1;
   };
 
-  /// Per-slot queue: one FIFO deque per priority class, kept sorted
+  /// FIFO of queued tasks on a growable circular buffer. Once grown to the
+  /// queue's high-water mark, pushes and pops never allocate (a std::deque
+  /// frees and re-allocates a block every few dozen tasks).
+  class Ring {
+   public:
+    bool empty() const { return size_ == 0; }
+    void push_back(const Item& item) {
+      if (size_ == buf_.size()) grow();
+      buf_[(head_ + size_) & (buf_.size() - 1)] = item;
+      ++size_;
+    }
+    Item pop_front() {
+      const Item item = buf_[head_];
+      head_ = (head_ + 1) & (buf_.size() - 1);
+      --size_;
+      return item;
+    }
+    Item pop_back() {
+      --size_;
+      return buf_[(head_ + size_) & (buf_.size() - 1)];
+    }
+
+   private:
+    void grow();
+    std::vector<Item> buf_;  ///< power-of-two capacity
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+
+  /// Per-slot queue: one FIFO per priority class, kept sorted
   /// highest-priority-first. pop takes the hot end (front) and steal the
-  /// cold end (back) of the *highest* class present, so a high-priority
+  /// cold end (back) of the *highest* non-empty class, so a high-priority
   /// batch admitted behind queued low-priority work drains first at every
   /// pop/steal point without preempting anything already running. With a
   /// single class (the common case — priority 0) this degenerates to the
-  /// historical one-deque behavior.
+  /// historical one-deque behavior. An emptied class stays in place (its
+  /// ring keeps its capacity); empty classes are pruned only when a new
+  /// priority arrives.
   struct Queue {
     struct Class {
       int priority = 0;
-      std::deque<Item> tasks;
+      Ring tasks;
     };
     Mutex mu;
     std::vector<Class> classes ATALIB_GUARDED_BY(mu);  // descending priority
+    /// Tasks queued here; written under mu, read without it so thieves
+    /// skip empty victims without taking their locks.
+    std::atomic<int> size{0};
   };
 
   /// The class for `priority` in q (creating it in sorted position).
-  static std::deque<Item>& class_for(Queue& q, int priority)
-      ATALIB_REQUIRES(q.mu);
+  static Ring& class_for(Queue& q, int priority) ATALIB_REQUIRES(q.mu);
+  /// Take the front (pop) or back (steal) of q's highest non-empty class.
+  bool take(Queue& q, bool front, Item& item);
 
-  /// Admit a batch: register it (queuing behind any waiting warm),
-  /// distribute its tasks over the first `dist_slots` queues — blockwise
-  /// without a hint, round-robin within each task's preferred node with one
-  /// — and wake the workers. Returns the batch for completion waiting.
-  std::shared_ptr<Batch> enqueue(int ntasks, TaskFn fn, int dist_slots,
-                                 const NodeHintFn* hint, int priority);
+  /// Admit a batch under one mu_ acquisition: take a Batch from the free
+  /// list, register it (queuing behind any waiting warm), distribute its
+  /// tasks over the first `dist_slots` queues — blockwise without a hint
+  /// (rotated over the slots when `rotate` and the batch has fewer tasks
+  /// than slots), round-robin within each task's preferred node with one —
+  /// and wake up to min(ntasks, parked) workers. Tasks call `*fn`, or
+  /// `owned` (moved into the batch) when fn is null. Returns the batch's
+  /// completion future.
+  std::future<void> enqueue(int ntasks, TaskFn owned, const TaskFn* fn, int dist_slots,
+                            const NodeHintFn* hint, int priority, bool rotate);
+  /// A promise whose shared state comes from blocks_.
+  std::promise<void> make_promise() {
+    return std::promise<void>(std::allocator_arg, RecyclingAllocator<char>(blocks_));
+  }
+  /// Last task of `batch` finished: deregister it, return it to the free
+  /// list, and fulfil its future.
+  void retire(Batch& batch);
   void run_inline(int ntasks, const TaskFn& fn);
   void worker_main(int slot);
   void pin_to_node(int slot);
   void drain(int slot);
-  void drain_for(int slot, const Batch& batch);
+  void drain_for(int slot, const std::future<void>& done);
   bool try_pop(int slot, Item& item);
   bool try_steal(int thief, Item& item);
   bool try_steal_from(int thief, int victim, Item& item);
@@ -277,9 +328,10 @@ class ThreadPool {
   std::vector<std::unique_ptr<Workspace>> workspaces_;  // parallel to queues_
   std::vector<std::thread> threads_;                    // the W workers
 
-  /// Guards generation_/stop_/active_batches_/warm_* state. The
-  /// condition variables are condition_variable_any so they wait on the
-  /// capability-annotated UniqueLock (common/thread_annotations.hpp).
+  /// Guards generation_/stop_/active_batches_/parked_/warm_* state and the
+  /// batch free list. The condition variables are
+  /// condition_variable_any so they wait on the capability-annotated
+  /// UniqueLock (common/thread_annotations.hpp).
   Mutex mu_;
   std::condition_variable_any work_cv_;     // workers park here between batches
   std::condition_variable_any quiesce_cv_;  // warms wait for 0 batches; admissions wait for 0 warms
@@ -287,6 +339,11 @@ class ThreadPool {
   bool stop_ ATALIB_GUARDED_BY(mu_) = false;
   int active_batches_ ATALIB_GUARDED_BY(mu_) = 0;  // admitted, not yet completed
   int warm_waiters_ ATALIB_GUARDED_BY(mu_) = 0;  // warms waiting for (or holding) quiescence
+  int parked_ ATALIB_GUARDED_BY(mu_) = 0;        // workers waiting on work_cv_
+  /// Slot offset of the next small unhinted submit() batch (see enqueue).
+  int next_home_ ATALIB_GUARDED_BY(mu_) = 0;
+  Batch* free_batches_ ATALIB_GUARDED_BY(mu_) = nullptr;
+  int nfree_batches_ ATALIB_GUARDED_BY(mu_) = 0;
 
   /// Worker-side warm growth (first touch): a growing warm publishes the
   /// targets and a fresh epoch under mu_, wakes every worker, and waits for
@@ -322,6 +379,8 @@ class ThreadPool {
   /// construction-time constant.
   std::unique_ptr<std::atomic<std::uint64_t>[]> scheduled_per_node_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> executed_per_node_;
+  /// Shared states of the futures submit() and run() hand out.
+  BlockRecycler* blocks_;
 };
 
 }  // namespace atalib::runtime

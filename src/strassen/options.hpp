@@ -1,5 +1,5 @@
 #pragma once
-// Tuning knobs shared by Strassen / RecursiveGEMM / AtA.
+// Tuning knobs shared by Strassen and AtA.
 
 #include <cstddef>
 #include <stdexcept>

@@ -20,24 +20,37 @@
 namespace atalib::strassen {
 namespace {
 
+/// ATALIB_FORCE_SCALAR_KERNELS, read once: the kernel registry pins its
+/// dispatch at first use the same way.
 bool env_forces_scalar() {
-  const char* v = std::getenv("ATALIB_FORCE_SCALAR_KERNELS");
-  return v != nullptr && *v != '\0' && std::string_view(v) != "0";
+  static const bool forced = [] {
+    const char* v = std::getenv("ATALIB_FORCE_SCALAR_KERNELS");
+    return v != nullptr && *v != '\0' && std::string_view(v) != "0";
+  }();
+  return forced;
 }
 
 const char* dtype_tag(std::size_t elem_bytes) {
   return elem_bytes == sizeof(float) ? "f32" : "f64";
 }
 
-/// Memo / cache-file key: the tuned value is a property of (ISA, dtype) on
-/// this machine, so forced-ISA toggles in tests re-tune rather than reuse a
+using blas::kernels::Isa;
+
+Isa active_isa(std::size_t elem_bytes) {
+  return elem_bytes == sizeof(float) ? blas::kernels::active_config<float>().isa
+                                     : blas::kernels::active_config<double>().isa;
+}
+
+/// Memo slot index: the tuned value is a property of (ISA, dtype) on this
+/// machine, so forced-ISA toggles in tests re-tune rather than reuse a
 /// crossover measured on a different tier.
-template <typename T>
-std::string tuning_key() {
-  std::ostringstream os;
-  os << blas::kernels::isa_name(blas::kernels::active_config<T>().isa) << ' '
-     << dtype_tag(sizeof(T));
-  return os.str();
+std::size_t memo_index(Isa isa, std::size_t elem_bytes) {
+  return 2 * static_cast<std::size_t>(isa) + (elem_bytes == sizeof(float) ? 1 : 0);
+}
+
+/// Cache-file key of the same (ISA, dtype) pair.
+std::string tuning_key(Isa isa, std::size_t elem_bytes) {
+  return std::string(blas::kernels::isa_name(isa)) + ' ' + dtype_tag(elem_bytes);
 }
 
 /// Time the registry gemm against exactly one Strassen level at square size
@@ -166,19 +179,27 @@ void Tuner::store(const std::string& key, index_t value) const {
 }
 
 index_t Tuner::base_case_elements(std::size_t elem_bytes) {
+  const Isa isa = active_isa(elem_bytes);
+  const index_t memo = base_[memo_index(isa, elem_bytes)].load(std::memory_order_acquire);
+  return memo != 0 ? memo : resolve_base(isa, elem_bytes);
+}
+
+index_t Tuner::tall_skinny_ratio(std::size_t elem_bytes) {
+  const Isa isa = active_isa(elem_bytes);
+  const index_t memo = ratio_[memo_index(isa, elem_bytes)].load(std::memory_order_acquire);
+  return memo != 0 ? memo : resolve_ratio(isa, elem_bytes);
+}
+
+index_t Tuner::resolve_base(Isa isa, std::size_t elem_bytes) {
   const index_t probed =
       static_cast<index_t>(default_base_case_elements(elem_bytes));
+  std::atomic<index_t>& slot = base_[memo_index(isa, elem_bytes)];
+  MutexLock lock(mu_);
+  if (const index_t memo = slot.load(std::memory_order_relaxed)) return memo;
+  const std::string key = tuning_key(isa, elem_bytes);
   // The forced-scalar CI leg must behave identically across machines, so it
   // ignores both the cache file and the measurement.
-  if (env_forces_scalar()) return probed;
-
-  const std::string key = elem_bytes == sizeof(float) ? tuning_key<float>()
-                                                      : tuning_key<double>();
-  MutexLock lock(mu_);
-  auto it = memo_.find(key);
-  if (it != memo_.end()) return it->second;
-
-  index_t value = load_cached(key);
+  index_t value = env_forces_scalar() ? probed : load_cached(key);
   if (value == 0) {
     const index_t measured = elem_bytes == sizeof(float)
                                  ? measure_crossover<float>()
@@ -190,28 +211,23 @@ index_t Tuner::base_case_elements(std::size_t elem_bytes) {
                           : std::min(std::max<index_t>(measured, 1024), 4 * probed);
     store(key, value);
   }
-  memo_.emplace(key, value);
+  slot.store(value, std::memory_order_release);
   return value;
 }
 
-index_t Tuner::tall_skinny_ratio(std::size_t elem_bytes) {
+index_t Tuner::resolve_ratio(Isa isa, std::size_t elem_bytes) {
   // Static default when measurement is unavailable: m/n >= 8 is deep into
   // the territory where the recursion's n-extent halving has hit min_dim.
   constexpr index_t kDefault = 8;
-  if (env_forces_scalar()) return kDefault;
+  // Resolve the Strassen side's cut-off first (its own lock acquisition, so
+  // the measurement below can never re-enter the tuner lock).
+  const index_t base = env_forces_scalar() ? 0 : base_case_elements(elem_bytes);
 
-  // Resolve the Strassen side's cut-off first (own lock acquisition, so the
-  // measurement below can never re-enter the tuner lock).
-  const index_t base = base_case_elements(elem_bytes);
-
-  const std::string key = (elem_bytes == sizeof(float) ? tuning_key<float>()
-                                                       : tuning_key<double>()) +
-                          "-ts";
+  std::atomic<index_t>& slot = ratio_[memo_index(isa, elem_bytes)];
   MutexLock lock(mu_);
-  auto it = memo_.find(key);
-  if (it != memo_.end()) return it->second;
-
-  index_t value = load_cached(key);
+  if (const index_t memo = slot.load(std::memory_order_relaxed)) return memo;
+  const std::string key = tuning_key(isa, elem_bytes) + "-ts";
+  index_t value = env_forces_scalar() ? kDefault : load_cached(key);
   if (value == 0) {
     const index_t measured = elem_bytes == sizeof(float)
                                  ? measure_ts_crossover<float>(base)
@@ -222,7 +238,7 @@ index_t Tuner::tall_skinny_ratio(std::size_t elem_bytes) {
                           : std::min(std::max<index_t>(measured, 2), index_t{64});
     store(key, value);
   }
-  memo_.emplace(key, value);
+  slot.store(value, std::memory_order_release);
   return value;
 }
 

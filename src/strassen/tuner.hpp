@@ -9,16 +9,21 @@
 // budget that still makes an n* x n* x n* product recurse). The result is
 // memoized per (active ISA, dtype) for the process lifetime and persisted to
 // an optional cache file so later processes skip the measurement entirely.
+// Once a value is resolved it is served from an atomic memo slot: the plan
+// lookup on every served request reads it with one load, no lock, no string
+// key and no getenv.
 //
 // The measurement runs with explicit non-zero cut-offs, so it can never
 // re-enter the tuner, and it happens at plan-build / first-call time in the
 // caller's thread — never inside a pool worker's warm path.
 
+#include <array>
+#include <atomic>
 #include <cstddef>
-#include <map>
 #include <string>
 #include <utility>
 
+#include "blas/kernels/microkernel.hpp"
 #include "common/thread_annotations.hpp"
 #include "matrix/view.hpp"
 
@@ -52,16 +57,24 @@ class Tuner {
   static Tuner& global();
 
  private:
+  /// One memo slot per (ISA tier, dtype); 0 = not resolved yet.
+  using Memo = std::array<std::atomic<index_t>, 2 * blas::kernels::kIsaCount>;
+
+  /// Slow paths: resolve `isa`'s value under mu_ (cache file, then
+  /// measurement) and publish it into its memo slot.
+  index_t resolve_base(blas::kernels::Isa isa, std::size_t elem_bytes);
+  index_t resolve_ratio(blas::kernels::Isa isa, std::size_t elem_bytes);
   index_t load_cached(const std::string& key) const ATALIB_REQUIRES(mu_);
   void store(const std::string& key, index_t value) const ATALIB_REQUIRES(mu_);
-  index_t measure(std::size_t elem_bytes) const;
 
-  /// Guards the memo map and the cache file (load_cached/store read and
-  /// rewrite it, and concurrent measurements for the same key must not
-  /// interleave their writes).
+  /// Serializes resolution: the cache file is read and rewritten there,
+  /// and concurrent measurements for the same key must not interleave
+  /// their writes.
   mutable Mutex mu_;
   std::string cache_path_;  ///< immutable after construction
-  std::map<std::string, index_t> memo_ ATALIB_GUARDED_BY(mu_);
+  /// Resolved values, written once under mu_ and read lock-free.
+  Memo base_{};
+  Memo ratio_{};
 };
 
 }  // namespace atalib::strassen

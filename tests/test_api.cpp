@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <future>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -286,6 +287,32 @@ TEST(Server, ConcurrentSubmitFromManyClientsMatchesSerialBitwise) {
   const auto s = server.plan_stats();
   EXPECT_EQ(s.misses, 3u * 2u) << "3 shapes x 2 plan widths must each plan once";
   EXPECT_EQ(s.hits + s.misses, static_cast<std::uint64_t>(kClients * kRepsPerClient));
+}
+
+TEST(Server, ReadyFuturesOutliveTheServer) {
+  // Request futures' shared states come from the server's recycler; a
+  // client may keep a settled future past ~Server and still read it.
+  const auto a = random_integer<double>(48, 40, 2, 37);
+  auto c_ref = Matrix<double>::zeros(40, 40);
+  ata(1.0, a.const_view(), c_ref.view(), tiny_base());
+  auto c1 = Matrix<double>::zeros(40, 40);
+  auto c2 = Matrix<double>::zeros(40, 40);
+  std::future<void> single;
+  std::vector<std::future<void>> batched;
+  {
+    api::Server server(api::Server::Options{3, 8});
+    single = server.submit(1.0, a.const_view(), c1.view(), shared_opts(2, 1));
+    const api::AtaRequest<double> req{1.0, a.const_view(), c2.view()};
+    batched = server.submit_batch<double>(std::span<const api::AtaRequest<double>>(&req, 1),
+                                          shared_opts(1, 1));
+    single.wait();
+    for (auto& f : batched) f.wait();
+  }
+  EXPECT_NO_THROW(single.get());
+  ASSERT_EQ(batched.size(), 1u);
+  EXPECT_NO_THROW(batched[0].get());
+  EXPECT_EQ(max_abs_diff_lower<double>(c1.const_view(), c_ref.const_view()), 0.0);
+  EXPECT_EQ(max_abs_diff_lower<double>(c2.const_view(), c_ref.const_view()), 0.0);
 }
 
 TEST(Server, RejectsInvalidOptionsAndShapesBeforeEnqueue) {

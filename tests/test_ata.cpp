@@ -37,14 +37,19 @@ TEST_P(AtaShapes, MatchesSyrkReferenceExactlyOnIntegers) {
       << "m=" << m << " n=" << n;
 }
 
-TEST_P(AtaShapes, NaiveVariantAgrees) {
+TEST_P(AtaShapes, AccumulatesScaledProductIntoNonzeroC) {
+  // C += alpha * AᵀA on a C that already holds data: every leaf (the
+  // recursive diagonal blocks and the Strassen off-diagonal ones) must add
+  // its scaled product instead of overwriting. Integer inputs and a
+  // half-integer alpha keep every order of summation exact.
   const auto [m, n] = GetParam();
-  auto a = random_integer<double>(m, n, 3, 2);
-  auto c1 = Matrix<double>::zeros(n, n);
-  auto c2 = Matrix<double>::zeros(n, n);
-  ata(1.0, a.const_view(), c1.view(), tiny_base());
-  ata_naive(1.0, a.const_view(), c2.view(), tiny_base());
-  EXPECT_EQ(max_abs_diff_lower<double>(c1.const_view(), c2.const_view()), 0.0);
+  auto a = random_integer<double>(m, n, 3, 5);
+  auto c = random_integer<double>(n, n, 4, 6);
+  auto c_ref = c.clone();
+  blas::ref::syrk_ln(-1.5, a.const_view(), c_ref.view());
+  ata(-1.5, a.const_view(), c.view(), tiny_base());
+  EXPECT_EQ(max_abs_diff_lower<double>(c.const_view(), c_ref.const_view()), 0.0)
+      << "m=" << m << " n=" << n;
 }
 
 TEST_P(AtaShapes, NeverTouchesStrictUpperTriangle) {

@@ -4,7 +4,8 @@
 // distinct shape per batch, the warm batched path performing zero schedule
 // builds / zero workspace slab allocations / zero thread-local pack
 // allocations, all-or-nothing validation, and per-request error isolation
-// plumbing (empty batches, rejected batches leave no futures behind).
+// plumbing (empty batches, rejected batches leave no futures behind), and
+// recycled batch states and plans carrying nothing over between batches.
 
 #include <gtest/gtest.h>
 
@@ -283,6 +284,61 @@ TEST(SubmitBatch, TallF32BatchMatchesSyrkBitwise) {
   }
 }
 
+/// Serve `shapes` as one batch (request i with priority priorities[i % 4])
+/// and check every request bitwise against the serial recursion.
+void expect_served_exactly(api::Server& server, const std::vector<Shape>& shapes,
+                           const int (&priorities)[4], std::uint64_t seed) {
+  std::vector<Matrix<double>> inputs, outputs;
+  std::vector<api::AtaRequest<double>> requests;
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    inputs.push_back(random_integer<double>(shapes[i].m, shapes[i].n, 3, seed + i));
+    outputs.push_back(Matrix<double>::zeros(shapes[i].n, shapes[i].n));
+  }
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    api::AtaRequest<double> req{1.0, inputs[i].const_view(), outputs[i].view()};
+    req.priority = priorities[i % 4];
+    requests.push_back(req);
+  }
+  auto futures = server.submit_batch<double>(requests, batch_opts(1, 1));
+  ASSERT_EQ(futures.size(), shapes.size());
+  for (auto& f : futures) f.get();
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    auto c_ref = Matrix<double>::zeros(shapes[i].n, shapes[i].n);
+    ata(1.0, inputs[i].const_view(), c_ref.view(), tiny_base());
+    EXPECT_EQ(max_abs_diff_lower<double>(outputs[i].const_view(), c_ref.const_view()), 0.0)
+        << "seed " << seed << " request " << i;
+  }
+}
+
+TEST(SubmitBatch, RecycledStatesServeShrinkingAndGrowingBatchesExactly) {
+  // Batch states are recycled with their vectors' capacity: a small batch
+  // served from a state that last held a larger one (and the reverse) must
+  // see only its own requests, shapes and plans.
+  api::Server server(api::Server::Options{4, 8});
+  const Shape pool_of_shapes[] = {{64, 48}, {40, 72}, {96, 80}, {33, 17}, {128, 16}};
+  const int equal[4] = {0, 0, 0, 0};
+  std::uint64_t seed = 700;
+  for (std::size_t size : {6u, 1u, 4u, 1u, 9u, 2u, 1u}) {
+    std::vector<Shape> shapes;
+    for (std::size_t i = 0; i < size; ++i) shapes.push_back(pool_of_shapes[(seed + i) % 5]);
+    expect_served_exactly(server, shapes, equal, seed);
+    seed += 10;
+  }
+}
+
+TEST(SubmitBatch, MixedPriorityBatchSettlesEveryRequestExactly) {
+  // Mixed priorities take the ordered path (higher-priority requests'
+  // tasks first); an equal-priority batch on the recycled state after it
+  // must not inherit that order.
+  api::Server server(api::Server::Options{4, 8});
+  const std::vector<Shape> shapes = {{64, 48}, {96, 80}, {40, 72}, {64, 48}, {33, 17}};
+  const int mixed[4] = {0, 3, 1, 3};
+  const int equal[4] = {2, 2, 2, 2};
+  expect_served_exactly(server, shapes, mixed, 800);
+  expect_served_exactly(server, {shapes.begin(), shapes.begin() + 3}, equal, 810);
+  expect_served_exactly(server, shapes, mixed, 820);
+}
+
 TEST(BuildBatchPlan, FlattensTasksAndSharesPlansAcrossRequests) {
   api::PlanCache cache(8);
   const auto a_small = random_integer<double>(64, 48, 2, 61);
@@ -296,7 +352,8 @@ TEST(BuildBatchPlan, FlattensTasksAndSharesPlansAcrossRequests) {
       {1.0, a_small.const_view(), c_small1.view()},
   };
   const auto opts = batch_opts(2, 2);
-  const auto batch = api::build_batch_plan<double>(cache, requests, opts);
+  api::BatchPlan batch;
+  api::build_batch_plan<double>(cache, requests, opts, batch);
 
   ASSERT_EQ(batch.plans.size(), 2u);
   ASSERT_EQ(batch.plan_of_request.size(), 3u);
@@ -309,6 +366,43 @@ TEST(BuildBatchPlan, FlattensTasksAndSharesPlansAcrossRequests) {
   EXPECT_EQ(batch.total_tasks(), 3 * per_plan);
   EXPECT_GE(batch.workspace_bound, batch.plans[0]->workspace_bound());
   EXPECT_GE(batch.workspace_bound, batch.plans[1]->workspace_bound());
+}
+
+TEST(BuildBatchPlan, RefillingAPlanDropsThePreviousBatch) {
+  // build_batch_plan fills a caller-owned plan that may hold an earlier,
+  // larger batch: nothing of that batch may survive the refill.
+  api::PlanCache cache(8);
+  const auto a_small = random_integer<double>(64, 48, 2, 63);
+  const auto a_big = random_integer<double>(96, 80, 2, 64);
+  auto c_small0 = Matrix<double>::zeros(48, 48);
+  auto c_small1 = Matrix<double>::zeros(48, 48);
+  auto c_big = Matrix<double>::zeros(80, 80);
+  const std::vector<api::AtaRequest<double>> three = {
+      {1.0, a_small.const_view(), c_small0.view()},
+      {1.0, a_big.const_view(), c_big.view()},
+      {1.0, a_small.const_view(), c_small1.view()},
+  };
+  const std::vector<api::AtaRequest<double>> one = {{1.0, a_big.const_view(), c_big.view()}};
+  const auto opts = batch_opts(2, 2);
+  const int per_plan = 2 * 2;
+
+  api::BatchPlan batch;
+  api::build_batch_plan<double>(cache, three, opts, batch);
+  ASSERT_EQ(batch.plans.size(), 2u);
+  api::build_batch_plan<double>(cache, one, opts, batch);
+  ASSERT_EQ(batch.plans.size(), 1u);
+  ASSERT_EQ(batch.plan_of_request.size(), 1u);
+  EXPECT_EQ(batch.plan_of_request[0], 0);
+  ASSERT_EQ(batch.task_offset.size(), 2u);
+  EXPECT_EQ(batch.task_offset[0], 0);
+  EXPECT_EQ(batch.total_tasks(), per_plan);
+  EXPECT_EQ(batch.workspace_bound, batch.plans[0]->workspace_bound())
+      << "the bound must be this batch's, not the larger earlier one's";
+
+  api::build_batch_plan<double>(cache, three, opts, batch);
+  ASSERT_EQ(batch.plans.size(), 2u);
+  EXPECT_EQ(batch.plan_of_request[2], 0);
+  EXPECT_EQ(batch.total_tasks(), 3 * per_plan);
 }
 
 }  // namespace

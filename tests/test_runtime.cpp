@@ -2,13 +2,17 @@
 // stealing (the Snippet-1-style integrity property), workspace reuse,
 // re-entrancy, error propagation, the over-decomposed AtA-S schedule,
 // bitwise agreement of pool-executed AtA-S with the serial engines for any
-// plan thread count, and inline execution of P = 1 plans.
+// plan thread count, inline execution of P = 1 plans, and the recycling of
+// retired batches and of the futures' shared states (BlockRecycler).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <future>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -22,6 +26,7 @@
 #include "matrix/compare.hpp"
 #include "matrix/generate.hpp"
 #include "parallel/ata_shared.hpp"
+#include "runtime/recycler.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sched/shared_schedule.hpp"
 
@@ -211,6 +216,152 @@ TEST(ThreadPoolMultiBatch, WarmWaitsForQuiescenceThenGrows) {
   }
   EXPECT_EQ(grows_after_batch, grows_after_warm)
       << "requests at the warmed mark must not allocate";
+}
+
+// ---- Batch and shared-state recycling -----------------------------------
+
+TEST(ThreadPoolMultiBatch, RecycledBatchDoesNotCarryAnEarlierError) {
+  // Retired batches are reused: a failed batch's error must leave with its
+  // own future, never resurface on a later batch's.
+  runtime::ThreadPool pool(3);
+  for (int round = 0; round < 20; ++round) {
+    auto bad = pool.submit(1 + round % 4, [](int, runtime::TaskContext&) {
+      throw std::runtime_error("bad batch");
+    });
+    EXPECT_THROW(bad.get(), std::runtime_error) << "round " << round;
+    std::atomic<int> ran{0};
+    auto good = pool.submit(1 + round % 5, [&ran](int, runtime::TaskContext&) {
+      ran.fetch_add(1, std::memory_order_relaxed);
+    });
+    EXPECT_NO_THROW(good.get()) << "round " << round;
+    EXPECT_EQ(ran.load(), 1 + round % 5);
+    EXPECT_NO_THROW(pool.run(6, [](int, runtime::TaskContext&) {})) << "round " << round;
+  }
+}
+
+TEST(ThreadPoolMultiBatch, RetiredBatchReleasesItsBodyCaptures) {
+  // A batch waiting on the free list must not keep its body's captures
+  // alive: they are released before the future becomes ready.
+  runtime::ThreadPool pool(3);
+  auto token = std::make_shared<int>(7);
+  for (int ntasks : {1, 2, 5}) {
+    std::atomic<int> seen{0};
+    pool.submit(ntasks, [token, &seen](int, runtime::TaskContext&) {
+          seen.fetch_add(*token, std::memory_order_relaxed);
+        }).get();
+    EXPECT_EQ(seen.load(), 7 * ntasks);
+    EXPECT_EQ(token.use_count(), 1) << ntasks << " tasks";
+  }
+}
+
+TEST(ThreadPoolMultiBatch, FuturesOutliveTheirPool) {
+  // The futures' shared states come from the pool's block recycler, which
+  // must stay alive until the last future is gone.
+  std::future<void> ok, failed;
+  {
+    runtime::ThreadPool pool(2);
+    ok = pool.submit(3, [](int, runtime::TaskContext&) {});
+    failed = pool.submit(2, [](int, runtime::TaskContext&) {
+      throw std::runtime_error("task failed");
+    });
+    ok.wait();
+    failed.wait();
+  }
+  EXPECT_NO_THROW(ok.get());
+  EXPECT_THROW(failed.get(), std::runtime_error);
+}
+
+TEST(BlockRecycler, ReturnedBlockIsHandedOutAgain) {
+  runtime::BlockRecycler* r = runtime::BlockRecycler::create();
+  void* first = r->allocate();
+  ASSERT_NE(first, nullptr);
+  r->deallocate(first);
+  void* again = r->allocate();
+  EXPECT_EQ(again, first) << "an idle block must be reused before the heap";
+  void* other = r->allocate();
+  EXPECT_NE(other, again);
+  r->deallocate(again);
+  r->deallocate(other);
+  r->release();
+}
+
+TEST(BlockRecycler, OutlivesOwnerUntilItsLastBlockReturns) {
+  // After the owner's release() the blocks still out stay usable; the
+  // last deallocate frees the recycler (ASan checks both directions).
+  runtime::BlockRecycler* r = runtime::BlockRecycler::create();
+  auto* a = static_cast<unsigned char*>(r->allocate());
+  auto* b = static_cast<unsigned char*>(r->allocate());
+  r->release();
+  std::fill(a, a + runtime::BlockRecycler::kBlockBytes, 0xA5);
+  std::fill(b, b + runtime::BlockRecycler::kBlockBytes, 0x5A);
+  EXPECT_EQ(a[runtime::BlockRecycler::kBlockBytes - 1], 0xA5);
+  EXPECT_EQ(b[0], 0x5A);
+  r->deallocate(a);
+  r->deallocate(b);
+}
+
+TEST(BlockRecycler, ConcurrentClientsNeverShareABlock) {
+  // Threads take and return blocks concurrently; each writes its own tag
+  // over its whole block and checks it before returning it, so a block
+  // handed to two holders at once shows as a torn tag.
+  runtime::BlockRecycler* r = runtime::BlockRecycler::create();
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 2000;
+  constexpr std::size_t kWords = runtime::BlockRecycler::kBlockBytes / sizeof(std::uint64_t);
+  std::atomic<int> torn{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([r, t, &torn] {
+      std::vector<std::uint64_t*> held;
+      for (int i = 0; i < kRounds; ++i) {
+        const std::uint64_t tag = (static_cast<std::uint64_t>(t) << 32) | static_cast<unsigned>(i);
+        auto* block = static_cast<std::uint64_t*>(r->allocate());
+        std::fill(block, block + kWords, tag);
+        held.push_back(block);
+        if (held.size() == 3 || i + 1 == kRounds) {
+          for (std::uint64_t* h : held) {
+            for (std::size_t w = 1; w < kWords; ++w) {
+              if (h[w] != h[0]) torn.fetch_add(1, std::memory_order_relaxed);
+            }
+            if (h[0] >> 32 != static_cast<std::uint64_t>(t)) {
+              torn.fetch_add(1, std::memory_order_relaxed);
+            }
+            r->deallocate(h);
+          }
+          held.clear();
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  r->release();
+  EXPECT_EQ(torn.load(), 0);
+}
+
+TEST(RecyclingAllocator, OversizedAllocationsBypassTheFreeList) {
+  // Requests larger than one block come from the heap and go back to it;
+  // they neither take nor leave a recycled block.
+  runtime::BlockRecycler* r = runtime::BlockRecycler::create();
+  runtime::RecyclingAllocator<char> alloc(r);
+  char* small = alloc.allocate(runtime::BlockRecycler::kBlockBytes);
+  alloc.deallocate(small, runtime::BlockRecycler::kBlockBytes);
+  const std::size_t big_n = 4 * runtime::BlockRecycler::kBlockBytes;
+  char* big = alloc.allocate(big_n);
+  EXPECT_NE(big, small);
+  std::fill(big, big + big_n, 'x');
+  EXPECT_EQ(big[big_n - 1], 'x');
+  alloc.deallocate(big, big_n);
+  char* again = alloc.allocate(runtime::BlockRecycler::kBlockBytes);
+  EXPECT_EQ(again, small) << "the idle block must still be the next one handed out";
+  alloc.deallocate(again, runtime::BlockRecycler::kBlockBytes);
+  // A promise over the allocator round-trips a value.
+  {
+    std::promise<int> p(std::allocator_arg, alloc);
+    std::future<int> f = p.get_future();
+    p.set_value(41);
+    EXPECT_EQ(f.get(), 41);
+  }
+  r->release();
 }
 
 // ---- Workspace reuse --------------------------------------------------

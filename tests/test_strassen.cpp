@@ -273,6 +273,52 @@ TEST(StrassenTuner, SeededCacheFileIsDeterministicAndFeedsPlanKey) {
   std::remove(path.c_str());
 }
 
+TEST(StrassenTuner, MemoKeepsEachTiersOwnValuesAcrossForcedIsaToggles) {
+  if (scalar_env_forced()) {
+    GTEST_SKIP() << "tuner is bypassed under ATALIB_FORCE_SCALAR_KERNELS";
+  }
+  const kn::Isa native = kn::active_config<double>().isa;
+  if (native == kn::Isa::kScalar) {
+    GTEST_SKIP() << "only the scalar kernel is available on this CPU";
+  }
+  const std::string path = testing::TempDir() + "atalib_tuning_tiers.txt";
+  const std::string isa = kn::isa_name(native);
+  const auto write = [&](int scale) {
+    std::ofstream f(path, std::ios::trunc);
+    f << isa << " f64 " << 7777 * scale << '\n' << isa << " f32 " << 5555 * scale << '\n'
+      << isa << " f64-ts " << 3 * scale << '\n' << isa << " f32-ts " << 5 * scale << '\n'
+      << "scalar f64 " << 3333 * scale << "\nscalar f32 " << 2222 * scale << '\n'
+      << "scalar f64-ts " << 6 * scale << "\nscalar f32-ts " << 7 * scale << '\n';
+  };
+  write(1);
+  strassen::Tuner tuner(path);
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(tuner.base_case_elements(sizeof(double)), 7777) << "round " << round;
+    EXPECT_EQ(tuner.base_case_elements(sizeof(float)), 5555) << "round " << round;
+    EXPECT_EQ(tuner.tall_skinny_ratio(sizeof(double)), 3) << "round " << round;
+    EXPECT_EQ(tuner.tall_skinny_ratio(sizeof(float)), 5) << "round " << round;
+    {
+      ForcedIsa scalar(kn::Isa::kScalar);
+      EXPECT_EQ(tuner.base_case_elements(sizeof(double)), 3333) << "round " << round;
+      EXPECT_EQ(tuner.base_case_elements(sizeof(float)), 2222) << "round " << round;
+      EXPECT_EQ(tuner.tall_skinny_ratio(sizeof(double)), 6) << "round " << round;
+      EXPECT_EQ(tuner.tall_skinny_ratio(sizeof(float)), 7) << "round " << round;
+    }
+    // Round two must be served from the memo, not the (now different) file.
+    write(2);
+  }
+  // A Tuner built on the rewritten file returns the file's values.
+  strassen::Tuner fresh(path);
+  EXPECT_EQ(fresh.base_case_elements(sizeof(double)), 2 * 7777);
+  EXPECT_EQ(fresh.tall_skinny_ratio(sizeof(float)), 2 * 5);
+  {
+    ForcedIsa scalar(kn::Isa::kScalar);
+    EXPECT_EQ(fresh.base_case_elements(sizeof(float)), 2 * 2222);
+    EXPECT_EQ(fresh.tall_skinny_ratio(sizeof(double)), 2 * 6);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(StrassenTuner, ForcedScalarEnvIgnoresTunerAndCacheFile) {
   if (!scalar_env_forced()) {
     GTEST_SKIP() << "set ATALIB_FORCE_SCALAR_KERNELS to exercise the bypass";

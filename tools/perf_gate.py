@@ -7,7 +7,7 @@ warm-path record regressed by more than --max-regress after machine-speed
 normalization. Run the bench with the SAME flags the committed baseline
 was generated with, so record keys intersect:
 
-    ./build/serve_throughput --threads 8 --json /tmp/serve.json
+    ./build/serve_throughput --threads 4 --json /tmp/serve.json
     ./build/micro_blas --json /tmp/blas.json
     python3 tools/perf_gate.py BENCH_serve.json:/tmp/serve.json \
                                BENCH_blas.json:/tmp/blas.json

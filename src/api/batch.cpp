@@ -1,10 +1,6 @@
 #include "api/batch.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
-
-#include "api/execute.hpp"
 
 namespace atalib::api {
 
@@ -25,14 +21,6 @@ void build_batch_plan(PlanCache& cache, std::span<const AtaRequest<T>> requests,
   // beats hashing.
   int group = 0;
   for (const AtaRequest<T>& req : requests) {
-    // Reject a mismatched C before touching the cache (same rule as
-    // Server::submit): a bad request must not build or evict plans.
-    if (req.c.rows != req.a.cols || req.c.cols != req.a.cols) {
-      throw std::invalid_argument(
-          "submit_batch: request " + std::to_string(batch.plan_of_request.size()) +
-          ": C must be n x n = " + std::to_string(req.a.cols) + "^2, got " +
-          std::to_string(req.c.rows) + "x" + std::to_string(req.c.cols));
-    }
     const int nplans = static_cast<int>(batch.plans.size());
     const auto same_shape = [&](int p) {
       const PlanKey& k = batch.plans[static_cast<std::size_t>(p)]->key();
@@ -49,7 +37,6 @@ void build_batch_plan(PlanCache& cache, std::span<const AtaRequest<T>> requests,
       }
     }
     const auto& plan = *batch.plans[static_cast<std::size_t>(group)];
-    check_shared<T>(plan, req.a, req.c);
     batch.plan_of_request.push_back(group);
     batch.task_offset.push_back(batch.task_offset.back() +
                                 static_cast<int>(plan.schedule().tasks.size()));

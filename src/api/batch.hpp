@@ -64,11 +64,11 @@ struct BatchPlan {
 };
 
 /// Group `requests` by plan key through `cache` into `batch` (cleared
-/// first) and validate every request against its plan
-/// (std::invalid_argument on any dtype/shape mismatch — thrown before
-/// anything executes, so a rejected batch is all-or-nothing). `opts` must
-/// already be validated. Cache accounting: one hit-or-miss per distinct
-/// shape in the batch.
+/// first). Each request's plan is selected by its own A shape and T, so it
+/// matches the request by construction. Preconditions, checked once by the
+/// caller (Server::enqueue_batch) before admission: `opts` is validated
+/// and every request's C is n x n for its A's n. Cache accounting: one
+/// hit-or-miss per distinct shape in the batch.
 template <typename T>
 void build_batch_plan(PlanCache& cache, std::span<const AtaRequest<T>> requests,
                       const SharedOptions& opts, BatchPlan& batch);

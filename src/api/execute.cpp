@@ -189,16 +189,9 @@ void execute(const AtaPlan& plan, T alpha, ConstMatrixView<T> a, MatrixView<T> c
     return;
   }
   warm_for(plan, pool);
-  auto body = [&](int t, runtime::TaskContext& ctx) {
+  pool.run(ntasks, [&](int t, runtime::TaskContext& ctx) {
     run_plan_task(plan, t, alpha, a, c, ctx);
-  };
-  // Pin the plan's write-disjoint C stripes to nodes round-robin so each
-  // stripe's packed panels and output pages stay node-local; a flat pool
-  // skips the hint machinery entirely.
-  const int nnodes = pool.numa_nodes();
-  runtime::NodeHintFn hint;
-  if (nnodes > 1) hint = [&plan, nnodes](int t) { return plan.preferred_node(t, nnodes); };
-  pool.run(ntasks, body, hint);
+  });
 }
 
 template <typename T>
@@ -207,20 +200,10 @@ SharedProfile execute_profile(const AtaPlan& plan, T alpha, ConstMatrixView<T> a
   check_shared(plan, a, c);
   runtime::Workspace workspace;  // one reusable arena across all timed tasks
   SharedProfile profile;
-  const auto& tasks = plan.schedule().tasks;
-  // Report where the placement hints would home each task on the global
-  // pool's topology (profiling itself runs serially regardless).
-  const int nnodes = std::max(1, runtime::ThreadPool::global().numa_nodes());
-  profile.tasks_per_node.assign(static_cast<std::size_t>(nnodes), 0);
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    ++profile.tasks_per_node[static_cast<std::size_t>(
-        plan.preferred_node(static_cast<int>(i), nnodes))];
-  }
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    Arena<T>& arena =
-        workspace.arena<T>(static_cast<std::size_t>(plan.task_workspace()[i]));
+  for (const auto& task : plan.schedule().tasks) {
+    Arena<T>& arena = workspace.arena<T>(plan.workspace_bound());
     ThreadCpuTimer timer;
-    for (const auto& op : tasks[i].ops) run_op(alpha, a, c, op, arena, plan);
+    for (const auto& op : task.ops) run_op(alpha, a, c, op, arena, plan);
     const double s = timer.seconds();
     profile.task_seconds.push_back(s);
     profile.critical_path_seconds = std::max(profile.critical_path_seconds, s);

@@ -99,11 +99,9 @@ std::shared_ptr<const AtaPlan> AtaPlan::build(const PlanKey& key) {
   plan->key_ = key;
   if (key.mode == PlanMode::kShared) {
     plan->schedule_ = sched::build_shared_schedule(key.m, key.n, key.p, key.oversub);
-    plan->task_workspace_.reserve(plan->schedule_.tasks.size());
     for (const auto& task : plan->schedule_.tasks) {
-      const index_t b = ops_workspace(task.ops, key);
-      plan->task_workspace_.push_back(b);
-      plan->workspace_bound_ = std::max(plan->workspace_bound_, static_cast<std::size_t>(b));
+      plan->workspace_bound_ = std::max(plan->workspace_bound_,
+                                        static_cast<std::size_t>(ops_workspace(task.ops, key)));
     }
   } else {
     plan->tree_ = sched::build_dist_tree(key.m, key.n, key.p, key.lb_alpha);

@@ -91,23 +91,11 @@ class AtaPlan {
 
   // --- Shared mode -------------------------------------------------------
   const sched::SharedSchedule& schedule() const { return schedule_; }
-  /// Per-task arena high-water marks (largest leaf_op_workspace over the
-  /// task's ops). Indexed like schedule().tasks.
-  const std::vector<index_t>& task_workspace() const { return task_workspace_; }
-  /// Max over task_workspace() — what every pool slot is warmed to
-  /// (stealing may route any task to any slot). For dist plans: the
-  /// per-rank bound (entry-region accumulator plus leaf scratch).
+  /// Largest arena any one task needs (max leaf_op_workspace over every
+  /// task's ops) — what every pool slot is warmed to (stealing may route
+  /// any task to any slot). For dist plans: the per-rank bound
+  /// (entry-region accumulator plus leaf scratch).
   std::size_t workspace_bound() const { return workspace_bound_; }
-  /// Home NUMA node for shared-mode task `task` on a pool reporting
-  /// `nnodes` nodes: plain round-robin over the write-disjoint C stripes.
-  /// Computed against the pool at execute time rather than stored,
-  /// because plans are cached by *shape* — one plan may serve pools
-  /// with different topologies (real pool, fake-topology pool) within a
-  /// process. Deterministic, so per-node scheduled counts are a
-  /// test oracle (tests/test_numa.cpp).
-  int preferred_node(int task, int nnodes) const {
-    return nnodes > 1 ? task % nnodes : 0;
-  }
 
   // --- Dist mode ---------------------------------------------------------
   const sched::DistTree& tree() const { return tree_; }
@@ -122,7 +110,6 @@ class AtaPlan {
 
   PlanKey key_;
   sched::SharedSchedule schedule_;
-  std::vector<index_t> task_workspace_;
   std::size_t workspace_bound_ = 0;
   sched::DistTree tree_;
   std::vector<std::vector<int>> chains_;

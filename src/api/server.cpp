@@ -78,7 +78,6 @@ struct BatchState {
   /// Chunks not yet finished; the task finishing the last one retires the
   /// batch at the server's gate.
   std::atomic<int> chunks_remaining{0};
-  int nnodes = 1;  ///< pool NUMA nodes, for the placement hint
   BatchState* next_free = nullptr;
 };
 
@@ -157,7 +156,6 @@ BatchState<T>* Server::acquire_state(std::size_t nreq) {
   if (state == nullptr) {
     state = new BatchState<T>;
     state->server = this;
-    state->nnodes = pool_.numa_nodes();
   }
   if (state->ticket_capacity < nreq) {
     state->tickets = std::make_unique<Ticket[]>(nreq);
@@ -622,23 +620,7 @@ void Server::enqueue_batch(std::span<const AtaRequest<T>> requests, const Shared
     }
   };
 
-  runtime::SubmitOptions pool_opts;
-  pool_opts.priority = batch_priority;
-  if (state->nnodes > 1) {
-    // Round-robin *chunks* over nodes (small single-task requests are
-    // the common case), while a request split into stripes keeps its
-    // plan's stripe->node mapping, rotated by the request index.
-    pool_opts.preferred_node = [state](int t) {
-      const BatchChunk chunk = state->chunks[static_cast<std::size_t>(t)];
-      const BatchUnit unit = state->units[static_cast<std::size_t>(chunk.first_unit)];
-      const AtaPlan& plan =
-          *state->batch.plans[static_cast<std::size_t>(
-              state->batch.plan_of_request[static_cast<std::size_t>(unit.req)])];
-      const int pref = plan.preferred_node(unit.local, state->nnodes);
-      return pref < 0 ? unit.req % state->nnodes : (unit.req + pref) % state->nnodes;
-    };
-  }
-  pool_.submit(nchunks, std::move(body), pool_opts);
+  pool_.submit(nchunks, std::move(body), batch_priority);
 }
 
 template <typename T>

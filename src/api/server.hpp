@@ -182,8 +182,10 @@ class Server {
   /// throughput path, DESIGN.md §8): one admission-gate pass for the whole
   /// batch, group by shape through the plan cache (one lookup per distinct
   /// shape), warm the pool once to the batch-wide workspace bound, and
-  /// enqueue every request's tasks as a single queued pool batch with NUMA
-  /// round-robin hints — per-worker pack buffers and arenas are shared
+  /// enqueue every request's tasks as a single queued pool batch, placed
+  /// by the pool's block distribution over its worker slots (so on a
+  /// multi-node host served traffic follows each node's share of worker
+  /// slots) — per-worker pack buffers and arenas are shared
   /// across the whole batch, so the warm path performs zero schedule
   /// builds and zero slab allocations regardless of batch size. The
   /// batch's pool priority is the max request (and opts) priority, and

@@ -7,7 +7,7 @@
 // serving introspection surface (api::Server::runtime_stats) and the
 // runtime_pool bench report it. The per-node *scheduled* counts are
 // assignment-time (where a task was enqueued, the Snippet-2-style test
-// oracle — deterministic under round-robin placement); the *executed*
+// oracle — deterministic under the pool's block distribution); the *executed*
 // counts are where tasks actually ran, which stealing may shift.
 
 #include <cstdint>
@@ -26,9 +26,11 @@ struct NumaPoolStats {
 
   std::uint64_t total_scheduled() const;
   std::uint64_t total_executed() const;
-  /// max − min over scheduled_per_node: round-robin placement keeps this
-  /// within the granularity of one batch's remainder (≤ 1 for a single
-  /// balanced batch).
+  /// max − min over scheduled_per_node. Block distribution hands each slot
+  /// ⌊n/S⌋ or ⌈n/S⌉ of a batch's n tasks over S slots, so on nodes with
+  /// equal slot counts this stays within one batch's remainder (0 when S
+  /// divides n). Queued submit() batches skip the caller slot, so that
+  /// slot's node is scheduled correspondingly less.
   std::uint64_t scheduled_imbalance() const;
   /// local / (local + remote) in [0, 1]; 1.0 when no steal ever crossed a
   /// node boundary (including the no-steals-at-all case).

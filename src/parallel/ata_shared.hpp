@@ -13,7 +13,6 @@
 // and no atomics on C — the paper's "perfect parallelism".
 
 #include <chrono>
-#include <cstdint>
 #include <vector>
 
 #include "parallel/leaf_exec.hpp"
@@ -78,10 +77,6 @@ struct SharedProfile {
   std::vector<double> task_seconds;
   double critical_path_seconds = 0;  ///< max over tasks
   double total_seconds = 0;          ///< sum over tasks (1-core wall time)
-  /// Tasks the plan's round-robin placement homes on each NUMA node of the
-  /// global pool's topology (AtaPlan::preferred_node). One entry on
-  /// flat hosts; profiling itself stays serial either way.
-  std::vector<std::uint64_t> tasks_per_node;
 };
 
 template <typename T>

@@ -33,10 +33,4 @@ struct TaskContext {
 /// fn(task, ctx) for task in [0, ntasks).
 using TaskFn = std::function<void(int task, TaskContext& ctx)>;
 
-/// Maps a task id to its preferred NUMA node (a hint, not a guarantee:
-/// stealing may still execute the task anywhere). Values are folded modulo
-/// the pool's numa_nodes(), so `t % nodes` and raw ids are both valid;
-/// negative means no preference.
-using NodeHintFn = std::function<int(int task)>;
-
 }  // namespace atalib::runtime

@@ -28,12 +28,6 @@ thread_local int tl_inline_depth = 0;
 constexpr int kMaxIdleBatches = 256;
 constexpr int kBatchRefill = 8;
 
-/// Hinted-enqueue scratch, per client thread so placement is computed
-/// outside the pool mutex and allocates nothing once warm: each task's
-/// slot, and each node's round-robin cursor.
-thread_local std::vector<int> tl_hint_slot;
-thread_local std::vector<int> tl_node_cursor;
-
 /// Workspace for inline execution paths (re-entrant or one-task batches).
 /// Thread-local so concurrent inline clients never share arenas, and
 /// persistent so even the inline path reuses its slab across calls.
@@ -331,42 +325,9 @@ void ThreadPool::retire(Batch& batch) {
 }
 
 std::future<void> ThreadPool::enqueue(int ntasks, TaskFn owned, const TaskFn* fn,
-                                      int dist_slots, const NodeHintFn* hint, int priority,
-                                      bool rotate) {
+                                      int dist_slots, int priority, bool rotate) {
   std::promise<void> done = make_promise();
   std::future<void> fut = done.get_future();
-  const int nnodes = topo_.num_nodes();
-  const bool hinted = hint != nullptr && nnodes > 0;
-  if (hinted) {
-    // Hinted distribution: place task t on the slots of its preferred
-    // node, round-robin within the node so same-node slots share the
-    // node's work evenly. Nodes whose slots are all beyond dist_slots
-    // (e.g. a single-slot last node excluded by a submit()) and negative
-    // hints fall back to a flat rotation. The caller's hint runs here,
-    // before the pool mutex is taken.
-    tl_hint_slot.resize(static_cast<std::size_t>(ntasks));
-    tl_node_cursor.assign(static_cast<std::size_t>(nnodes), 0);
-    int flat_cursor = 0;
-    for (int t = 0; t < ntasks; ++t) {
-      const int h = (*hint)(t);
-      int slot = -1;
-      if (h >= 0) {
-        const int node = h % nnodes;
-        const auto& slots = node_slots_[static_cast<std::size_t>(node)];
-        int eligible = 0;
-        for (int s : slots) {
-          if (s < dist_slots) ++eligible;
-        }
-        if (eligible > 0) {
-          int& cur = tl_node_cursor[static_cast<std::size_t>(node)];
-          slot = slots[static_cast<std::size_t>(cur % eligible)];
-          ++cur;
-        }
-      }
-      if (slot < 0) slot = (flat_cursor++) % dist_slots;
-      tl_hint_slot[static_cast<std::size_t>(t)] = slot;
-    }
-  }
   int wake = 0;
   {
     // Register before any queue push: a pending warm must either see this
@@ -396,43 +357,31 @@ std::future<void> ThreadPool::enqueue(int ntasks, TaskFn owned, const TaskFn* fn
     batch->done.emplace(std::move(done));
     ++active_batches_;
 
-    const auto push = [&](int s, int lo, int hi, const int* ids) {
-      Queue& q = *queues_[static_cast<std::size_t>(s)];
+    // Block distribution, the pool's one placement rule: slot s owns a
+    // contiguous chunk of task ids, so the schedule's home-worker hints
+    // translate into locality, and because slots are blocked over nodes by
+    // CPU share, the chunks spread over the nodes by that share too;
+    // stealing rebalances from there. A queued batch with fewer tasks than
+    // slots starts at a rotating slot, so a stream of one-task batches
+    // spreads over every worker's queue instead of piling onto one.
+    int home = 0;
+    if (rotate && ntasks < dist_slots) {
+      home = next_home_ % dist_slots;
+      next_home_ = (home + ntasks) % dist_slots;
+    }
+    for (int s = 0; s < dist_slots; ++s) {
+      const int lo = static_cast<int>(static_cast<long long>(ntasks) * s / dist_slots);
+      const int hi = static_cast<int>(static_cast<long long>(ntasks) * (s + 1) / dist_slots);
+      if (hi <= lo) continue;
+      const int slot = (s + home) % dist_slots;
+      Queue& q = *queues_[static_cast<std::size_t>(slot)];
       MutexLock qlk(q.mu);
       Ring& tasks = class_for(q, priority);
-      int pushed = 0;
-      for (int t = lo; t < hi; ++t) {
-        if (ids != nullptr && ids[t] != s) continue;
-        tasks.push_back(Item{batch, t});
-        ++pushed;
-      }
-      q.size.store(q.size.load(std::memory_order_relaxed) + pushed, std::memory_order_relaxed);
-      queued_tasks_.fetch_add(static_cast<std::uint64_t>(pushed), std::memory_order_relaxed);
-      scheduled_per_node_[static_cast<std::size_t>(node_of_slot(s))].fetch_add(
-          static_cast<std::uint64_t>(pushed), std::memory_order_relaxed);
-    };
-    if (!hinted) {
-      // Block distribution: slot s owns a contiguous chunk of task ids, so
-      // the schedule's home-worker hints translate into locality; stealing
-      // rebalances from there. A queued batch with fewer tasks than slots
-      // starts at a rotating slot, so a stream of one-task batches spreads
-      // over every worker's queue instead of piling onto the last one.
-      int home = 0;
-      if (rotate && ntasks < dist_slots) {
-        home = next_home_ % dist_slots;
-        next_home_ = (home + ntasks) % dist_slots;
-      }
-      for (int s = 0; s < dist_slots; ++s) {
-        const int lo = static_cast<int>(static_cast<long long>(ntasks) * s / dist_slots);
-        const int hi = static_cast<int>(static_cast<long long>(ntasks) * (s + 1) / dist_slots);
-        if (hi > lo) push((s + home) % dist_slots, lo, hi, nullptr);
-      }
-    } else {
-      for (int s = 0; s < dist_slots; ++s) {
-        if (std::find(tl_hint_slot.begin(), tl_hint_slot.end(), s) != tl_hint_slot.end()) {
-          push(s, 0, ntasks, tl_hint_slot.data());
-        }
-      }
+      for (int t = lo; t < hi; ++t) tasks.push_back(Item{batch, t});
+      q.size.store(q.size.load(std::memory_order_relaxed) + (hi - lo), std::memory_order_relaxed);
+      queued_tasks_.fetch_add(static_cast<std::uint64_t>(hi - lo), std::memory_order_relaxed);
+      scheduled_per_node_[static_cast<std::size_t>(node_of_slot(slot))].fetch_add(
+          static_cast<std::uint64_t>(hi - lo), std::memory_order_relaxed);
     }
     ++generation_;
     wake = std::min(ntasks, parked_);
@@ -464,7 +413,7 @@ void ThreadPool::run_inline(int ntasks, const TaskFn& fn) {
   --tl_inline_depth;
 }
 
-void ThreadPool::run(int ntasks, const TaskFn& fn, const NodeHintFn& preferred_node) {
+void ThreadPool::run(int ntasks, const TaskFn& fn) {
   if (ntasks <= 0) return;
   const int nslots = concurrency();
   if (tl_task_depth > 0 || nslots == 1 || ntasks == 1) {
@@ -473,9 +422,8 @@ void ThreadPool::run(int ntasks, const TaskFn& fn, const NodeHintFn& preferred_n
   }
   // fn outlives the batch (this call blocks until it retires), so the
   // tasks call it in place instead of a copy.
-  std::future<void> done = enqueue(ntasks, nullptr, &fn, nslots,
-                                   preferred_node ? &preferred_node : nullptr,
-                                   /*priority=*/0, /*rotate=*/false);
+  std::future<void> done =
+      enqueue(ntasks, nullptr, &fn, nslots, /*priority=*/0, /*rotate=*/false);
   // Participate as the caller slot if no other concurrent caller claimed
   // it; otherwise just wait (two callers must not share slot workspaces).
   bool expected = false;
@@ -486,7 +434,7 @@ void ThreadPool::run(int ntasks, const TaskFn& fn, const NodeHintFn& preferred_n
   done.get();  // waits for stolen stragglers; rethrows the first task error
 }
 
-std::future<void> ThreadPool::submit(int ntasks, TaskFn fn, const SubmitOptions& opts) {
+std::future<void> ThreadPool::submit(int ntasks, TaskFn fn, int priority) {
   const int nslots = concurrency();
   if (ntasks <= 0 || tl_task_depth > 0 || tl_inline_depth > 0 || nslots == 1) {
     // Nothing to run, no hand-off possible (workerless pool), or nested in
@@ -503,9 +451,7 @@ std::future<void> ThreadPool::submit(int ntasks, TaskFn fn, const SubmitOptions&
   }
   // Distribute over the worker slots only — nobody drains the caller slot
   // on this path until a worker steals from it.
-  return enqueue(ntasks, std::move(fn), nullptr, nslots - 1,
-                 opts.preferred_node ? &opts.preferred_node : nullptr, opts.priority,
-                 /*rotate=*/true);
+  return enqueue(ntasks, std::move(fn), nullptr, nslots - 1, priority, /*rotate=*/true);
 }
 
 void ThreadPool::warm_workspaces(std::size_t float_elems, std::size_t double_elems) {

@@ -11,11 +11,11 @@
 // — that is the whole point versus a per-call fork-join.
 //
 // Two admission styles share the machinery:
-//   - run(ntasks, fn, preferred_node): blocking. The caller
+//   - run(ntasks, fn): blocking. The caller
 //     additionally participates as the dedicated caller slot (first-come
 //     among concurrent callers) and returns when its own batch has
 //     finished, rethrowing the batch's first task exception.
-//   - submit(ntasks, fn, opts): queued. Returns a std::future immediately;
+//   - submit(ntasks, fn, priority): queued. Returns a std::future immediately;
 //     the last finishing task fulfils it. This is what the serving
 //     front-end (api::Server) uses so N clients' requests overlap on one
 //     pool.
@@ -32,10 +32,10 @@
 // ATALIB_FAKE_NUMA override synthesizes multi-node layouts on flat CI
 // hosts, skipping only the affinity syscalls). Three mechanisms follow
 // from the grouping:
-//   - placement: enqueue can honor a per-task preferred-node hint (run's
-//     `preferred_node`, SubmitOptions::preferred_node), distributing each
-//     task round-robin over its node's slots; per-node *scheduled*
-//     counters record assignment deterministically.
+//   - placement: the one block distribution above. Slots are blocked over
+//     nodes in proportion to each node's CPUs, so contiguous task chunks
+//     spread over the nodes by that share; per-node *scheduled* counters
+//     record assignment deterministically.
 //   - memory: a growing warm_workspaces() is executed by each worker on
 //     its own slot (first touch), so a slot's arena pages live on the
 //     worker's node — never on the admitting client's.
@@ -64,10 +64,9 @@
 // at that width *given exclusive use of the pool*, which the distributed
 // layer's rank pool guarantees by holding the RankPoolLease mutex for the
 // whole communicator batch (src/dist/rank_pool.hpp). Do not change the
-// distribution scheme without this invariant. (Hinted admission
-// distributes differently, and queued submit() batches smaller than the
-// worker count start at a rotating slot, but the rank pool uses neither,
-// so the invariant binds only unhinted run().)
+// distribution scheme without this invariant. It binds every run() call;
+// queued submit() batches smaller than the worker count start at a
+// rotating slot instead, but the rank pool never uses submit().
 
 #include <atomic>
 #include <condition_variable>
@@ -87,21 +86,6 @@
 
 namespace atalib::runtime {
 
-/// Options for ThreadPool::submit (at namespace scope so the declaration
-/// can default it with `= {}`).
-struct SubmitOptions {
-  /// Batch priority class: at every pop and steal point a slot drains the
-  /// highest-priority class present, FIFO within the class. Equal
-  /// priorities behave exactly like the historical single-deque pool.
-  /// Priority reorders *queued* work only — it never preempts a running
-  /// task — and the blocking-batch invariant (file comment) is unaffected
-  /// because it binds only the unhinted run() path, which always enqueues
-  /// at priority 0.
-  int priority = 0;
-  /// Per-task preferred-node hint (see ThreadPool::run); empty = none.
-  NodeHintFn preferred_node;
-};
-
 class ThreadPool {
  public:
   /// threads <= 0 selects std::thread::hardware_concurrency(). `threads`
@@ -118,8 +102,7 @@ class ThreadPool {
   /// Number of execution slots (upper bound on concurrency).
   int concurrency() const { return static_cast<int>(queues_.size()); }
   /// NUMA nodes the slots span: the probed (or ATALIB_FAKE_NUMA-synthesized)
-  /// topology, so planners can spread write-disjoint output stripes across
-  /// nodes (see run's `preferred_node`).
+  /// topology.
   int numa_nodes() const { return topo_.num_nodes(); }
 
   /// The topology the pool grouped its slots by (probed, or synthesized
@@ -136,13 +119,11 @@ class ThreadPool {
   /// tasks have finished; rethrows the first task exception after the
   /// batch drains (the pool stays usable). A one-task batch, and any
   /// submission from inside a task, executes inline on the calling
-  /// thread. Batches from independent client threads overlap. With a
-  /// `preferred_node` hint, task t is enqueued round-robin over the slots
-  /// of node `preferred_node(t) % numa_nodes()` (negative hint: no
-  /// preference). Stealing may still execute a task anywhere —
-  /// locality-first order makes that the exception, and the write-disjoint
-  /// task contract makes it always correct.
-  void run(int ntasks, const TaskFn& fn, const NodeHintFn& preferred_node = {});
+  /// thread. Batches from independent client threads overlap. Tasks are
+  /// block-distributed over every slot; stealing may still execute a task
+  /// anywhere — locality-first order makes a remote steal the exception,
+  /// and the write-disjoint task contract makes it always correct.
+  void run(int ntasks, const TaskFn& fn);
 
   /// Queued multi-batch admission: enqueue the batch and return a future
   /// that becomes ready when its last task finishes (exceptional with the
@@ -151,10 +132,13 @@ class ThreadPool {
   /// batch and must tolerate concurrent invocation like run()'s. From
   /// inside a task (or on a workerless pool) the batch executes inline
   /// before returning, so the future is already ready — blocking on the
-  /// future from task context can never deadlock. The serving front-end
-  /// passes a priority and a hint pinning a plan's write-disjoint C
-  /// stripes to nodes round-robin.
-  std::future<void> submit(int ntasks, TaskFn fn, const SubmitOptions& opts = {});
+  /// future from task context can never deadlock.
+  ///
+  /// `priority` is the batch's class: at every pop and steal point a slot
+  /// drains the highest-priority class present, FIFO within the class.
+  /// Priority reorders *queued* work only — it never preempts a running
+  /// task — and run() always enqueues at priority 0.
+  std::future<void> submit(int ntasks, TaskFn fn, int priority = 0);
 
   /// Tasks currently sitting in the slot queues (admitted, not yet popped
   /// or stolen). Instantaneous gauge for the serving metrics surface.
@@ -295,14 +279,13 @@ class ThreadPool {
 
   /// Admit a batch under one mu_ acquisition: take a Batch from the free
   /// list, register it (queuing behind any waiting warm), distribute its
-  /// tasks over the first `dist_slots` queues — blockwise without a hint
-  /// (rotated over the slots when `rotate` and the batch has fewer tasks
-  /// than slots), round-robin within each task's preferred node with one —
-  /// and wake up to min(ntasks, parked) workers. Tasks call `*fn`, or
+  /// tasks blockwise over the first `dist_slots` queues (rotated over the
+  /// slots when `rotate` and the batch has fewer tasks than slots), and
+  /// wake up to min(ntasks, parked) workers. Tasks call `*fn`, or
   /// `owned` (moved into the batch) when fn is null. Returns the batch's
   /// completion future.
   std::future<void> enqueue(int ntasks, TaskFn owned, const TaskFn* fn, int dist_slots,
-                            const NodeHintFn* hint, int priority, bool rotate);
+                            int priority, bool rotate);
   /// A promise whose shared state comes from blocks_.
   std::promise<void> make_promise() {
     return std::promise<void>(std::allocator_arg, RecyclingAllocator<char>(blocks_));
@@ -340,7 +323,7 @@ class ThreadPool {
   int active_batches_ ATALIB_GUARDED_BY(mu_) = 0;  // admitted, not yet completed
   int warm_waiters_ ATALIB_GUARDED_BY(mu_) = 0;  // warms waiting for (or holding) quiescence
   int parked_ ATALIB_GUARDED_BY(mu_) = 0;        // workers waiting on work_cv_
-  /// Slot offset of the next small unhinted submit() batch (see enqueue).
+  /// Slot offset of the next small submit() batch (see enqueue).
   int next_home_ ATALIB_GUARDED_BY(mu_) = 0;
   Batch* free_batches_ ATALIB_GUARDED_BY(mu_) = nullptr;
   int nfree_batches_ ATALIB_GUARDED_BY(mu_) = 0;

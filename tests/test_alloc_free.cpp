@@ -149,18 +149,19 @@ TEST(AllocFree, PoolSubmitWithCaptureFreeBodyAllocatesNothing) {
   EXPECT_EQ(allocations_during([&] { submit(kCalls); }), 0u);
 }
 
-TEST(AllocFree, HintedPoolSubmitAllocatesNothing) {
-  // The preferred-node placement path, whatever the (possibly faked)
-  // topology.
+TEST(AllocFree, WarmPoolRunAllocatesNothing) {
+  // The blocking path: every slot, the caller's included, gets tasks.
   runtime::ThreadPool pool(4);
-  runtime::SubmitOptions opts;
-  opts.preferred_node = [](int t) { return t; };
-  const auto body = [](int, runtime::TaskContext&) {};
-  const auto submit = [&](int calls) {
-    for (int i = 0; i < calls; ++i) pool.submit(6, body, opts).get();
+  std::atomic<int> ran{0};
+  const runtime::TaskFn body = [&ran](int, runtime::TaskContext&) {
+    ran.fetch_add(1, std::memory_order_relaxed);
   };
-  submit(kWarmCalls);
-  EXPECT_EQ(allocations_during([&] { submit(kCalls); }), 0u);
+  const auto run = [&](int calls) {
+    for (int i = 0; i < calls; ++i) pool.run(6, body);
+  };
+  run(kWarmCalls);
+  EXPECT_EQ(allocations_during([&] { run(kCalls); }), 0u);
+  EXPECT_EQ(ran.load(), 6 * (kWarmCalls + kCalls));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the NUMA-aware runtime (DESIGN.md §7): fake-topology parsing,
-// slot->node grouping, round-robin placement of hinted batches (the
+// slot->node grouping, block placement over the node-grouped slots (the
 // Snippet-2-style scheduled-count oracle), steal-locality counters, the
 // worker-side first-touch warm, and bitwise agreement of NUMA-placed
 // execution with a flat pool. Everything multi-node runs over
@@ -17,6 +17,7 @@
 #include <fstream>
 #include <latch>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -175,7 +176,7 @@ TEST(NumaPool, UnevenPoolSizeStillCoversEveryNode) {
   EXPECT_EQ(per_node[1], 3);
 }
 
-// ---- Round-robin placement (scheduled-count oracle) --------------------
+// ---- Block placement (scheduled-count oracle) --------------------------
 
 TEST(NumaPool, RoundRobinSchedulingBalancesNodes) {
   FakeNumaGuard guard("2x4");
@@ -183,12 +184,10 @@ TEST(NumaPool, RoundRobinSchedulingBalancesNodes) {
   ASSERT_EQ(pool.numa_nodes(), 2);
   const int ntasks = 16;
   std::atomic<int> ran{0};
-  pool.run(
-      ntasks, [&](int, runtime::TaskContext&) { ran.fetch_add(1); },
-      [](int t) { return t % 2; });
+  pool.run(ntasks, [&](int, runtime::TaskContext&) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), ntasks);
-  // Assignment-time counts are deterministic regardless of stealing: 8
-  // tasks hinted at each node.
+  // Assignment-time counts are deterministic regardless of stealing: 2
+  // tasks on each slot, 4 slots per node.
   EXPECT_EQ(pool.scheduled_on_node(0), 8u);
   EXPECT_EQ(pool.scheduled_on_node(1), 8u);
   const auto stats = pool.numa_stats();
@@ -201,9 +200,8 @@ TEST(NumaPool, FourNodeRoundRobinWithinOneTask) {
   FakeNumaGuard guard("4x2");
   runtime::ThreadPool pool(8);
   ASSERT_EQ(pool.numa_nodes(), 4);
-  const int ntasks = 10;  // 10 = 4*2 + 2: two nodes get one extra task
-  pool.run(
-      ntasks, [](int, runtime::TaskContext&) {}, [](int t) { return t % 4; });
+  const int ntasks = 10;  // 10 = 8 + 2: two slots, on two nodes, get a second task
+  pool.run(ntasks, [](int, runtime::TaskContext&) {});
   std::uint64_t total = 0;
   for (int node = 0; node < 4; ++node) {
     const std::uint64_t count = pool.scheduled_on_node(node);
@@ -215,29 +213,7 @@ TEST(NumaPool, FourNodeRoundRobinWithinOneTask) {
   EXPECT_EQ(pool.numa_stats().scheduled_imbalance(), 1u);
 }
 
-TEST(NumaPool, HonorsPreferredNodeExclusively) {
-  FakeNumaGuard guard("2x2");
-  runtime::ThreadPool pool(4);
-  ASSERT_EQ(pool.numa_nodes(), 2);
-  const int ntasks = 12;
-  pool.run(
-      ntasks, [](int, runtime::TaskContext&) {}, [](int) { return 1; });
-  EXPECT_EQ(pool.scheduled_on_node(0), 0u);
-  EXPECT_EQ(pool.scheduled_on_node(1), static_cast<std::uint64_t>(ntasks));
-}
-
-TEST(NumaPool, NegativeHintFallsBackToFlatRotation) {
-  FakeNumaGuard guard("2x2");
-  runtime::ThreadPool pool(4);
-  const int ntasks = 8;
-  pool.run(
-      ntasks, [](int, runtime::TaskContext&) {}, [](int) { return -1; });
-  // Flat rotation over 4 slots = 2 per slot = 4 per node.
-  EXPECT_EQ(pool.scheduled_on_node(0), 4u);
-  EXPECT_EQ(pool.scheduled_on_node(1), 4u);
-}
-
-TEST(NumaPool, UnhintedRunStillCountsScheduledPerNode) {
+TEST(NumaPool, RunCountsScheduledPerNodeOnTwoSlotNodes) {
   FakeNumaGuard guard("2x2");
   runtime::ThreadPool pool(4);
   const int ntasks = 8;
@@ -248,10 +224,38 @@ TEST(NumaPool, UnhintedRunStillCountsScheduledPerNode) {
   EXPECT_EQ(pool.numa_stats().total_executed(), 8u);
 }
 
+TEST(NumaPool, SmallQueuedBatchesRotateOverWorkerSlotsOnly) {
+  // One slot per node, so scheduled_on_node(s) is slot s's count. Slot 3
+  // is the caller slot: submit() never places on it, run() does.
+  FakeNumaGuard guard("4x1");
+  runtime::ThreadPool pool(4);
+  ASSERT_EQ(pool.numa_nodes(), 4);
+  const auto scheduled = [&pool] {
+    std::vector<std::uint64_t> counts;
+    for (int node = 0; node < 4; ++node) counts.push_back(pool.scheduled_on_node(node));
+    return counts;
+  };
+  const auto noop = [](int, runtime::TaskContext&) {};
+
+  // One-task batches rotate over the three worker slots: a third each.
+  for (int i = 0; i < 300; ++i) pool.submit(1, noop).get();
+  EXPECT_EQ(scheduled(), (std::vector<std::uint64_t>{100, 100, 100, 0}));
+
+  // A two-task batch puts one task on each of two worker slots (the block
+  // split of 2 over 3 leaves the home slot, here slot 0, empty).
+  pool.submit(2, noop).get();
+  EXPECT_EQ(scheduled(), (std::vector<std::uint64_t>{100, 101, 101, 0}));
+
+  // run() does not rotate and spreads over every slot, the caller's too.
+  pool.run(8, noop);
+  EXPECT_EQ(scheduled(), (std::vector<std::uint64_t>{102, 103, 103, 2}));
+  EXPECT_EQ(pool.numa_stats().total_executed(), 310u);
+}
+
 // ---- Steal locality ----------------------------------------------------
 
 TEST(NumaPool, BalancedOneTaskPerSlotBatchHasZeroSteals) {
-  // One hinted task per slot, latch-gated so no task finishes until every
+  // One task per slot, latch-gated so no task finishes until every
   // slot has popped its own: steals of any kind are impossible, which
   // makes remote_steals == 0 deterministic even on an oversubscribed
   // single-CPU CI host (acceptance criterion).
@@ -259,12 +263,7 @@ TEST(NumaPool, BalancedOneTaskPerSlotBatchHasZeroSteals) {
   runtime::ThreadPool pool(4);
   ASSERT_EQ(pool.numa_nodes(), 2);
   std::latch all_started(4);
-  pool.run(
-      4,
-      [&](int, runtime::TaskContext&) {
-        all_started.arrive_and_wait();
-      },
-      [](int t) { return t % 2; });
+  pool.run(4, [&](int, runtime::TaskContext&) { all_started.arrive_and_wait(); });
   EXPECT_EQ(pool.local_steals(), 0u);
   EXPECT_EQ(pool.remote_steals(), 0u);
   EXPECT_EQ(pool.steals(), 0u);
@@ -307,13 +306,10 @@ TEST(NumaPool, WarmGrowsEverySlotUnderFakeTopology) {
   std::vector<std::size_t> grows_before(4);
   for (int s = 0; s < 4; ++s) grows_before[static_cast<std::size_t>(s)] =
       pool.workspace(s).grow_count();
-  pool.run(
-      8,
-      [&](int, runtime::TaskContext& ctx) {
-        Arena<double>& arena = ctx.arena<double>(doubles);
-        arena.allocate(doubles);
-      },
-      [](int t) { return t % 2; });
+  pool.run(8, [&](int, runtime::TaskContext& ctx) {
+    Arena<double>& arena = ctx.arena<double>(doubles);
+    arena.allocate(doubles);
+  });
   for (int s = 0; s < 4; ++s) {
     EXPECT_EQ(pool.workspace(s).grow_count(), grows_before[static_cast<std::size_t>(s)])
         << "slot " << s;
@@ -381,7 +377,7 @@ TEST(NumaServer, RuntimeStatsReportPerNodePlacement) {
   auto c = Matrix<float>::zeros(n, n);
   SharedOptions so;
   so.threads = 4;
-  so.oversub = 1;  // exactly 4 tasks -> 2 per node round-robin
+  so.oversub = 1;  // 4 tasks over worker slots 0-2 as 1/1/2 -> 2 per node
   so.recurse = tiny_base();
   server.submit(1.0f, a.const_view(), c.view(), so).get();
 
@@ -393,10 +389,46 @@ TEST(NumaServer, RuntimeStatsReportPerNodePlacement) {
   EXPECT_EQ(stats.scheduled_per_node[0], 2u);
   EXPECT_EQ(stats.scheduled_per_node[1], 2u);
 
-  // Result correctness through the hinted serving path.
+  // Result correctness through the serving path.
   auto c_serial = Matrix<float>::zeros(n, n);
   ata(1.0f, a.const_view(), c_serial.view(), tiny_base());
   EXPECT_EQ(max_abs_diff_lower<float>(c.const_view(), c_serial.const_view()), 0.0);
+}
+
+TEST(NumaServer, ServedTrafficFollowsWorkerSlotShare) {
+  // 2x2 with 4 slots: workers 0-1 on node 0, worker 2 and the caller slot
+  // on node 1. Queued batches go to the three worker slots only, so served
+  // traffic must split 2:1 over the nodes, never pile onto one slot.
+  FakeNumaGuard guard("2x2");
+  api::Server server(api::Server::Options{.threads = 4, .plan_capacity = 4});
+  ASSERT_EQ(server.executor().numa_nodes(), 2);
+  ASSERT_EQ(server.executor().node_of_slot(2), 1);
+  const auto scheduled = [&server] { return server.runtime_stats().scheduled_per_node; };
+
+  // One-task batches rotate their home over worker slots 0, 1, 2, ...
+  const index_t m = 64, n = 16;
+  const auto a = random_integer<double>(m, n, 2, 7);
+  auto c = Matrix<double>::zeros(n, n);
+  const api::AtaRequest<double> req{1.0, a.const_view(), c.view()};
+  for (int i = 0; i < 300; ++i) {
+    server.submit_batch<double>(std::span<const api::AtaRequest<double>>(&req, 1))[0].get();
+  }
+  EXPECT_EQ(scheduled(), (std::vector<std::uint64_t>{200, 100}));
+
+  // An 8-stripe request splits 2/3/3 over worker slots 0-2.
+  const index_t big_m = 96, big_n = 80;
+  const auto big = random_integer<double>(big_m, big_n, 3, 11);
+  auto c_big = Matrix<double>::zeros(big_n, big_n);
+  SharedOptions so;
+  so.threads = 4;
+  so.oversub = 2;
+  so.recurse = tiny_base();
+  server.submit(1.0, big.const_view(), c_big.view(), so).get();
+  EXPECT_EQ(scheduled(), (std::vector<std::uint64_t>{205, 103}));
+
+  auto c_serial = Matrix<double>::zeros(big_n, big_n);
+  ata(1.0, big.const_view(), c_serial.view(), tiny_base());
+  EXPECT_EQ(max_abs_diff_lower<double>(c_big.const_view(), c_serial.const_view()), 0.0);
 }
 
 }  // namespace

@@ -116,22 +116,18 @@ TEST(PoolPriority, HigherClassDrainsFirstFifoWithinClass) {
   std::array<int, kPerBatch> low_at{};   // execution position of low task t
   std::array<int, kPerBatch> high_at{};
 
-  runtime::SubmitOptions low_opts;
-  low_opts.priority = 0;
   auto low = pool.submit(
       kPerBatch,
       [&](int t, runtime::TaskContext&) {
         low_at[static_cast<std::size_t>(t)] = seq.fetch_add(1, std::memory_order_relaxed);
       },
-      low_opts);
-  runtime::SubmitOptions high_opts;
-  high_opts.priority = 5;
+      /*priority=*/0);
   auto high = pool.submit(
       kPerBatch,
       [&](int t, runtime::TaskContext&) {
         high_at[static_cast<std::size_t>(t)] = seq.fetch_add(1, std::memory_order_relaxed);
       },
-      high_opts);
+      /*priority=*/5);
 
   EXPECT_EQ(pool.queue_depth(), 2u * kPerBatch) << "all six tasks queued behind the blocker";
   blocker.release();
@@ -560,8 +556,6 @@ TEST(ServerOverload, HigherPriorityRequestOvertakesQueuedLowerPriority) {
   std::future<void> low, high;
   const auto mark = [&](int priority, Completion& rec, std::future<void>& own,
                         std::future<void>& other) {
-    runtime::SubmitOptions mopts;
-    mopts.priority = priority;
     return server.executor().submit(
         1,
         [&seq, rec = &rec, own = &own, other = &other](int, runtime::TaskContext&) {
@@ -570,7 +564,7 @@ TEST(ServerOverload, HigherPriorityRequestOvertakesQueuedLowerPriority) {
           rec->other_pending =
               other->wait_for(std::chrono::seconds(0)) == std::future_status::timeout;
         },
-        mopts);
+        priority);
   };
 
   WorkerBlocker blocker;

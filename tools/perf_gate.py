@@ -72,6 +72,8 @@ METRIC_FIELDS = frozenset({
     "offered", "completed", "rejected", "shed", "deadline_expired",
     "completed_per_sec", "admission_wait_p99_us", "queue_wait_p99_us",
     "compute_p99_us", "speedup", "noise_floor",
+    # runtime_pool (BENCH_pool.json)
+    "min_ms", "calls_per_s", "local_steals", "remote_steals", "steal_locality",
 })
 
 # Phases whose rates are not warm-path statements (see module docstring).

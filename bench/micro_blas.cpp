@@ -92,7 +92,7 @@ Measurement time_microkernel(Isa isa, int reps, const std::string& dispatch) {
   const double secs = min_time_of(
       [&] {
         for (long i = 0; i < calls; ++i) {
-          cfg.uk.fn(kc, T(1), a.data(), mr, b.data(), c.data(), nr, mr, nr);
+          cfg.uk.fn(kc, T(1), a.data(), mr, b.data(), nr, c.data(), nr, mr, nr);
         }
       },
       reps);

@@ -21,24 +21,36 @@ void gemm(Op opa, Op opb, T alpha, ConstMatrixView<T> av, ConstMatrixView<T> bv,
   const index_t MR = cfg.uk.mr, NR = cfg.uk.nr;
   const index_t MC = cfg.blocks.mc, KC = cfg.blocks.kc, NC = cfg.blocks.nc;
   const kernels::PackExtents ext = kernels::pack_extents(cfg, m, n, k);
-  const kernels::PackStorage<T> bufs(arena, ext.a, ext.b);
+  kernels::PackStorage<T> bufs(arena, ext.a, ext.b);
+  using Panel = kernels::MicroPanel<T>;
+
+  // T-N (the AtA leaf): op(A) = A^T and op(B) = B both walk their operand's
+  // rows with unit stride, so a cache-resident operand is read in place
+  // (kernels::block_panels). Same panels, same k order: the result is
+  // bitwise the packed one.
+  const bool tn = a.trans && !b.trans;
+  const index_t kc_max = std::min(KC, k);
+  const bool a_in_place = tn && cfg.reads_in_place(kc_max, av.stride);
+  const bool b_in_place = tn && cfg.reads_in_place(kc_max, bv.stride);
 
   for (index_t jc = 0; jc < n; jc += NC) {
     const index_t nc = std::min(NC, n - jc);
     for (index_t pc = 0; pc < k; pc += KC) {
       const index_t kc = std::min(KC, k - pc);
-      kernels::pack_b(b, pc, jc, kc, nc, NR, bufs.b());
+      const auto b_panels = kernels::block_panels(b, /*rows_of_a=*/false, jc, pc, nc, kc, NR,
+                                                  b_in_place, [&] { return bufs.b(); });
       for (index_t ic = 0; ic < m; ic += MC) {
         const index_t mc = std::min(MC, m - ic);
-        kernels::pack_a(a, ic, pc, mc, kc, MR, bufs.a());
+        const auto a_panels = kernels::block_panels(a, /*rows_of_a=*/true, ic, pc, mc, kc, MR,
+                                                    a_in_place, [&] { return bufs.a(); });
         for (index_t q = 0; q < nc; q += NR) {
           const index_t nr = std::min(NR, nc - q);
-          const T* bp = bufs.b() + (q / NR) * NR * kc;
+          const Panel bp = b_panels(q);
           for (index_t p = 0; p < mc; p += MR) {
             const index_t mr = std::min(MR, mc - p);
-            const T* ap = bufs.a() + (p / MR) * MR * kc;
-            cfg.uk.fn(kc, alpha, ap, MR, bp, c.data + (ic + p) * c.stride + jc + q, c.stride,
-                      mr, nr);
+            const Panel ap = a_panels(p);
+            cfg.uk.fn(kc, alpha, ap.data, ap.step, bp.data, bp.step,
+                      c.data + (ic + p) * c.stride + jc + q, c.stride, mr, nr);
           }
         }
       }

@@ -36,7 +36,8 @@ template <typename T>
 index_t gemm_workspace_bound(index_t m, index_t n, index_t k);
 
 /// C += alpha * A^T * B (the paper's ?gemm use: A is m x n, B is m x k,
-/// C is n x k).
+/// C is n x k). The one orientation whose cache-resident operands are read
+/// in place rather than packed (DESIGN.md §2).
 template <typename T>
 void gemm_tn(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, MatrixView<T> c,
              Arena<T>* arena = nullptr) {

@@ -12,12 +12,12 @@ constexpr index_t kMR = 4;
 constexpr index_t kNR = 8;
 
 template <typename T>
-void scalar_microkernel(index_t kc, T alpha, const T* ap, index_t a_step, const T* bp, T* c,
-                        index_t ldc, index_t mr, index_t nr) {
+void scalar_microkernel(index_t kc, T alpha, const T* ap, index_t a_step, const T* bp,
+                        index_t b_step, T* c, index_t ldc, index_t mr, index_t nr) {
   T acc[kMR][kNR] = {};
   for (index_t k = 0; k < kc; ++k) {
     const T* a = ap + k * a_step;
-    const T* b = bp + k * kNR;
+    const T* b = bp + k * b_step;
     for (index_t r = 0; r < kMR; ++r) {
       const T ar = a[r];
       for (index_t cidx = 0; cidx < kNR; ++cidx) acc[r][cidx] += ar * b[cidx];
@@ -45,19 +45,10 @@ template <typename T>
 void scalar_row_axpy(index_t n, T alpha, const T* x, T* y) {
   for (index_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
-template <typename T>
-void scalar_row_scale_add(index_t n, T alpha, const T* a, const T* b, T* dst) {
-  for (index_t i = 0; i < n; ++i) dst[i] = alpha * (a[i] + b[i]);
-}
-template <typename T>
-void scalar_row_scale_sub(index_t n, T alpha, const T* a, const T* b, T* dst) {
-  for (index_t i = 0; i < n; ++i) dst[i] = alpha * (a[i] - b[i]);
-}
 
 template <typename T>
 constexpr TileOps<T> scalar_tileops() {
-  return TileOps<T>{&scalar_row_add<T>, &scalar_row_sub<T>, &scalar_row_axpy<T>,
-                    &scalar_row_scale_add<T>, &scalar_row_scale_sub<T>};
+  return TileOps<T>{&scalar_row_add<T>, &scalar_row_sub<T>, &scalar_row_axpy<T>};
 }
 
 }  // namespace

@@ -1,17 +1,22 @@
 #pragma once
 // ISA-specific register-tile microkernels (see DESIGN.md §2).
 //
-// A microkernel computes C[0:mr, 0:nr] += alpha * A * B over one packed
+// A microkernel computes C[0:mr, 0:nr] += alpha * A * B over one
 // micro-panel pair: A is an MR x kc panel whose MR values for depth k sit
-// contiguously at ap[k * a_step], B a kc x NR panel (row-major-by-k,
-// columns zero-padded), so the accumulator always spans the full MR x NR
-// register tile and only the valid mr x nr corner is stored back. gemm
-// passes a_step = MR (a pack_a micro-panel, rows past the tile zero-padded);
-// syrk_ln passes a_step = NR to read A's rows out of the packed B panel of
-// the same columns (DESIGN.md §2). Each ISA variant lives in its own
-// translation unit compiled with its own -m flags (CMake per-file options),
-// and surfaces itself as one KernelEntry; registry.hpp picks the best
-// supported entry at runtime via cpuid.
+// contiguously at ap[k * a_step], B a kc x NR panel whose NR values for
+// depth k sit contiguously at bp[k * b_step]. The accumulator always spans
+// the full MR x NR register tile and only the valid mr x nr corner is
+// stored back, so every MR x kc / kc x NR element the tile reads must be
+// readable memory. Packed callers pass a_step = MR (a pack_a micro-panel,
+// rows past the tile zero-padded) and b_step = NR (a pack_b micro-panel,
+// columns past the tile zero-padded); syrk_ln passes a_step = NR to read
+// A's rows out of the packed B panel of the same columns. When a leaf
+// operand's k-panel is cache-resident, gemm_tn and syrk_ln hand full tiles
+// the operand itself: a_step / b_step = its row stride (DESIGN.md §2).
+// Each ISA variant lives in its own translation unit compiled with its own
+// -m flags (CMake per-file options), and surfaces itself as one
+// KernelEntry; registry.hpp picks the best supported entry at runtime via
+// cpuid.
 
 #include "matrix/view.hpp"
 
@@ -32,8 +37,8 @@ template <typename T>
 struct Microkernel {
   index_t mr = 0;
   index_t nr = 0;
-  void (*fn)(index_t kc, T alpha, const T* ap, index_t a_step, const T* bp, T* c, index_t ldc,
-             index_t mr, index_t nr) = nullptr;
+  void (*fn)(index_t kc, T alpha, const T* ap, index_t a_step, const T* bp, index_t b_step,
+             T* c, index_t ldc, index_t mr, index_t nr) = nullptr;
 };
 
 /// Fused level-1 row kernels for one scalar type — the Strassen block-sum /
@@ -43,8 +48,6 @@ struct Microkernel {
 ///   add:   dst[i] = a[i] + b[i]
 ///   sub:   dst[i] = a[i] - b[i]
 ///   axpy:  y[i]  += alpha * x[i]          (the C-quadrant accumulate)
-///   scale_add: dst[i] = alpha * (a[i] + b[i])
-///   scale_sub: dst[i] = alpha * (a[i] - b[i])
 /// Each element is produced by independent per-lane arithmetic (no
 /// reassociation), so vector and scalar variants agree bitwise on inputs
 /// whose sums/products are exact (the integer-input test convention).
@@ -53,8 +56,6 @@ struct TileOps {
   void (*add)(index_t n, const T* a, const T* b, T* dst) = nullptr;
   void (*sub)(index_t n, const T* a, const T* b, T* dst) = nullptr;
   void (*axpy)(index_t n, T alpha, const T* x, T* y) = nullptr;
-  void (*scale_add)(index_t n, T alpha, const T* a, const T* b, T* dst) = nullptr;
-  void (*scale_sub)(index_t n, T alpha, const T* a, const T* b, T* dst) = nullptr;
 };
 
 /// A compiled-in ISA variant: float + double GEMM tiles and fused level-1

@@ -49,7 +49,7 @@ BlockSizes pick_blocks(index_t mr, index_t nr, std::size_t elem) {
   mc = std::max(mr, round_down(std::min<index_t>(mc, 768), mr));
   index_t nc = div(ci.l3_bytes / 2, static_cast<std::size_t>(kc) * elem);
   nc = std::max(nr, round_down(std::min<index_t>(nc, 2048), nr));
-  return BlockSizes{mc, kc, nc};
+  return BlockSizes{mc, kc, nc, static_cast<index_t>(ci.l2_bytes * 3 / 16)};
 }
 
 const KernelEntry* find_compiled(Isa isa) {

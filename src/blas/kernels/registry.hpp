@@ -26,10 +26,15 @@ const char* isa_name(Isa isa);
 /// during a microkernel sweep; mc x kc of packed A targets half of L2;
 /// kc x nc of packed B targets half of L3 (capped so per-thread pack
 /// buffers stay a few MB). mc and nc are multiples of the tile.
+/// resident_bytes — 3/16 of L2: the largest k-panel (kc rows of a
+/// row-major operand, row stride included) a leaf reads in place instead
+/// of packing (DESIGN.md §2). Measured on a 2 MiB-L2 AVX-512 host with
+/// four workers busy: k-panels of L2/8 ran faster in place, L2/4 slower.
 struct BlockSizes {
   index_t mc = 0;
   index_t kc = 0;
   index_t nc = 0;
+  index_t resident_bytes = 0;
 };
 
 /// Everything the gemm/syrk drivers need for one dtype on one ISA.
@@ -39,6 +44,13 @@ struct KernelConfig {
   const char* name = "";
   Microkernel<T> uk;
   BlockSizes blocks;
+
+  /// True when the k-panels of a row-major operand with row stride `ld`,
+  /// at most `kc` rows deep, are cache-resident: gemm_tn and syrk_ln then
+  /// read its full micro-panels in place (a_step / b_step = ld).
+  bool reads_in_place(index_t kc, index_t ld) const {
+    return kc * ld * static_cast<index_t>(sizeof(T)) <= blocks.resident_bytes;
+  }
 };
 
 /// Packed-panel element counts one gemm/syrk call needs for an m x n output
@@ -67,10 +79,10 @@ std::optional<Isa> forced_isa();
 template <typename T>
 const KernelConfig<T>& active_config();
 
-/// The fused level-1 row kernels (add/sub/axpy and their alpha-scaled
-/// forms) the current dispatch selects for dtype T. Follows the same
-/// forced-ISA / env pinning as active_config(), so the forced-scalar leg
-/// runs the scalar row loops everywhere.
+/// The fused level-1 row kernels (add/sub/axpy) the current dispatch
+/// selects for dtype T. Follows the same forced-ISA / env pinning as
+/// active_config(), so the forced-scalar leg runs the scalar row loops
+/// everywhere.
 template <typename T>
 const TileOps<T>& active_tileops();
 

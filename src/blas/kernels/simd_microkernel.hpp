@@ -7,11 +7,12 @@
 // elements, MR the tile rows, NV the vectors per row (NR = VL * NV). The
 // k-loop keeps MR*NV vector accumulators live and issues NV loads of B plus
 // one broadcast-from-memory of each A value per step, then advances A by
-// the runtime a_step (MR for a pack_a panel, NR when syrk_ln reads A out of
-// the packed B panel — see microkernel.hpp); with -mfma /
-// -ffp-contract=fast the multiply-add contracts to FMA. Loads/stores go
-// through memcpy so packed panels and C rows need no alignment and no
-// aliasing blessing.
+// the runtime a_step and B by the runtime b_step (MR / NR for packed
+// panels; NR for A when syrk_ln reads it out of the packed B panel; the
+// operand's row stride when a cache-resident operand is read in place —
+// see microkernel.hpp); with -mfma / -ffp-contract=fast the multiply-add
+// contracts to FMA. Loads/stores go through memcpy so panels, in-place
+// operands and C rows need no alignment and no aliasing blessing.
 //
 // Codegen rules (DESIGN.md §2, checked by tools/check_microkernel_asm.py):
 // - A enters each FMA as a scalar (`a[r] * bv[j]`), so the compiler emits a
@@ -31,8 +32,8 @@
 namespace atalib::blas::kernels {
 
 template <typename T, int VL, int MR, int NV>
-void simd_microkernel(index_t kc, T alpha, const T* ap, index_t a_step, const T* bp, T* c,
-                      index_t ldc, index_t mr, index_t nr) {
+void simd_microkernel(index_t kc, T alpha, const T* ap, index_t a_step, const T* bp,
+                      index_t b_step, T* c, index_t ldc, index_t mr, index_t nr) {
   constexpr int NR = VL * NV;
   typedef T V __attribute__((vector_size(VL * sizeof(T))));
   const auto load = [](const T* p) {
@@ -49,7 +50,7 @@ void simd_microkernel(index_t kc, T alpha, const T* ap, index_t a_step, const T*
   }
   const T* a = ap;
   const T* b = bp;
-  for (index_t k = 0; k < kc; ++k, a += a_step, b += NR) {
+  for (index_t k = 0; k < kc; ++k, a += a_step, b += b_step) {
     V bv[NV];
 #pragma GCC unroll 64
     for (int j = 0; j < NV; ++j) bv[j] = load(b + j * VL);

@@ -72,40 +72,11 @@ void simd_row_axpy(index_t n, T alpha, const T* x, T* y) {
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
-template <typename T, int VL, typename Op>
-inline void simd_row_scale_combine(index_t n, T alpha, const T* a, const T* b, T* dst, Op op) {
-  typedef T V __attribute__((vector_size(VL * sizeof(T))));
-  const auto load = [](const T* p) {
-    V v;
-    __builtin_memcpy(&v, p, sizeof(V));
-    return v;
-  };
-  V va;
-  for (int l = 0; l < VL; ++l) va[l] = alpha;
-  index_t i = 0;
-  for (; i + VL <= n; i += VL) {
-    const V r = va * op(load(a + i), load(b + i));
-    __builtin_memcpy(dst + i, &r, sizeof(V));
-  }
-  for (; i < n; ++i) dst[i] = alpha * op(a[i], b[i]);
-}
-
-template <typename T, int VL>
-void simd_row_scale_add(index_t n, T alpha, const T* a, const T* b, T* dst) {
-  simd_row_scale_combine<T, VL>(n, alpha, a, b, dst, [](auto x, auto y) { return x + y; });
-}
-
-template <typename T, int VL>
-void simd_row_scale_sub(index_t n, T alpha, const T* a, const T* b, T* dst) {
-  simd_row_scale_combine<T, VL>(n, alpha, a, b, dst, [](auto x, auto y) { return x - y; });
-}
-
 /// TileOps table for one (T, VL) instantiation — what each per-ISA TU hands
 /// to its KernelEntry.
 template <typename T, int VL>
 constexpr TileOps<T> simd_tileops() {
-  return TileOps<T>{&simd_row_add<T, VL>, &simd_row_sub<T, VL>, &simd_row_axpy<T, VL>,
-                    &simd_row_scale_add<T, VL>, &simd_row_scale_sub<T, VL>};
+  return TileOps<T>{&simd_row_add<T, VL>, &simd_row_sub<T, VL>, &simd_row_axpy<T, VL>};
 }
 
 }  // namespace atalib::blas::kernels

@@ -9,6 +9,8 @@
 // their A operand out of the packed B panel), above-diagonal microtiles
 // skipped outright, diagonal-crossing microtiles folded through a
 // register-tile stack temporary — no separate diagonal-block scratch buffer.
+// When A's k-panels are cache-resident, full micro-panels are read straight
+// out of A instead and only ragged edges are packed (in-place leaves).
 
 #include "common/arena.hpp"
 #include "matrix/view.hpp"
@@ -18,7 +20,8 @@ namespace atalib::blas {
 /// lower(C) += alpha * A^T A. A is m x n, C is n x n; the strict upper
 /// triangle of C is never read or written. Packed panels come from `arena`
 /// when given (checkpoint-scoped; malloc-free once the arena is warm) and
-/// from reusable thread-local buffers otherwise.
+/// from reusable thread-local buffers otherwise; a call that packs nothing
+/// draws nothing.
 template <typename T>
 void syrk_ln(T alpha, ConstMatrixView<T> a, MatrixView<T> c, Arena<T>* arena = nullptr);
 

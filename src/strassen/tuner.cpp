@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <string_view>
+#include <utility>
 
 #include "ata/ata.hpp"
 #include "blas/gemm.hpp"
@@ -53,6 +54,20 @@ std::string tuning_key(Isa isa, std::size_t elem_bytes) {
   return std::string(blas::kernels::isa_name(isa)) + ' ' + dtype_tag(elem_bytes);
 }
 
+/// Best-of-`reps` times of two rivals, timed alternately: the tuner runs
+/// first thing in a fresh process, and timing one side's reps before the
+/// other's lets a clock ramp or a noisy neighbour during one side decide
+/// the race.
+template <typename F, typename G>
+std::pair<double, double> race(F&& f, G&& g, int reps) {
+  double tf = 1e300, tg = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    tf = std::min(tf, min_time_of(f, 1));
+    tg = std::min(tg, min_time_of(g, 1));
+  }
+  return {tf, tg};
+}
+
 /// Time the registry gemm against exactly one Strassen level at square size
 /// n and return the crossover threshold, or 0 if Strassen never wins on the
 /// ladder. base = n*n makes the top (n, n, n) call recurse (footprint 2n^2)
@@ -78,15 +93,13 @@ index_t measure_crossover() {
     const ConstMatrixView<T> bv(b.data(), n, n, nmax);
     MatrixView<T> cv(c.data(), n, n, nmax);
 
-    const double t_gemm =
-        min_time_of([&] { blas::gemm_tn(T(1), av, bv, cv); }, kReps);
-
     RecurseOptions one_level;
     one_level.base_case_elements = n * n;  // explicit: never re-enters the tuner
     Arena<T> arena(static_cast<std::size_t>(
         strassen_workspace_bound(n, n, n, one_level, sizeof(T))));
-    const double t_strassen =
-        min_time_of([&] { strassen_tn(T(1), av, bv, cv, arena, one_level); }, kReps);
+    const auto [t_gemm, t_strassen] =
+        race([&] { blas::gemm_tn(T(1), av, bv, cv); },
+             [&] { strassen_tn(T(1), av, bv, cv, arena, one_level); }, kReps);
 
     if (t_strassen < t_gemm) {
       // Smallest ladder size where one Strassen level wins: pick the largest
@@ -127,14 +140,12 @@ index_t measure_ts_crossover(index_t base) {
     Arena<T> arena(static_cast<std::size_t>(
         std::max(ata_workspace_bound(m, kN, rec, sizeof(T)),
                  blas::syrk_workspace_bound<T>(m, kN))));
-    const double t_strassen =
-        min_time_of([&] { ata(T(1), av, cv, arena, rec); }, kReps);
-    const double t_syrk = min_time_of(
-        [&] {
-          arena.reset();
-          blas::syrk_ln(T(1), av, cv, &arena);
-        },
-        kReps);
+    const auto [t_strassen, t_syrk] = race([&] { ata(T(1), av, cv, arena, rec); },
+                                           [&] {
+                                             arena.reset();
+                                             blas::syrk_ln(T(1), av, cv, &arena);
+                                           },
+                                           kReps);
     if (t_syrk < t_strassen) return ratio;
   }
   return 0;

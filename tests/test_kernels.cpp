@@ -6,10 +6,10 @@
 // Inputs are small integers, so every product and partial sum is exactly
 // representable in float and double: FMA contraction, accumulation order,
 // and blocking differences cannot round, and any mismatch is a real
-// packing/microkernel/dispatch bug, not noise. Two tests use real-valued
+// packing/microkernel/dispatch bug, not noise. Three tests use real-valued
 // inputs, where rounding does show: the arithmetic-contract test, which
-// drives each SIMD register tile directly, and the syrk-vs-gemm_tn oracle,
-// whose two sides run the same fma chains.
+// drives each SIMD register tile directly, and the syrk-vs-gemm_tn and
+// in-place-vs-packed oracles, whose two sides run the same fma chains.
 
 #include <gtest/gtest.h>
 
@@ -135,12 +135,18 @@ void expect_syrk_matches_scalar(Isa isa) {
 /// A register tile's arithmetic contract, checked bitwise: each output lane
 /// is acc = fma(a, b, acc) over k in order, then c = fma(alpha, acc, c), and
 /// nothing outside the valid mr x nr corner of C is written. Covers kc in
-/// {1, 3, 17, KC}, every mix of full and ragged mr/nr, ldc > NR, and both A
-/// layouts: a pack_a micro-panel (a_step = MR) and an MR-row slice at
-/// offsets 0 and NR - MR of a B-shaped panel (a_step = NR, as syrk_ln reads
-/// A out of its packed B panel). `real` draws non-integer inputs and
-/// alpha != 1; otherwise small integers and alpha = 2 make every product
-/// and sum exact, so the chain is met with or without FMA contraction.
+/// {1, 3, 17, KC}, every mix of full and ragged mr/nr, ldc > NR, and every
+/// operand layout a leaf hands the tile. A: a pack_a micro-panel (a_step =
+/// MR), an MR-row slice at offsets 0 and NR - MR of a B-shaped panel
+/// (a_step = NR, as syrk_ln reads A out of its packed B panel), and a
+/// slice of wider rows (a_step > NR, an operand read in place). B: a
+/// pack_b micro-panel (b_step = NR) and a slice of wider rows (b_step >
+/// NR). Packed layouts are zero past the tile's valid rows / columns, as
+/// the packers leave them; in-place layouts are not — their padding is
+/// the neighbouring operand data, drawn like the rest. `real` draws
+/// non-integer inputs and alpha != 1; otherwise small integers and
+/// alpha = 2 make every product and sum exact, so the chain is met with or
+/// without FMA contraction.
 template <typename T>
 void expect_tile_matches_fma_chain(Isa isa, bool real) {
   const kn::KernelConfig<T>& cfg = kn::config_for<T>(isa);
@@ -149,41 +155,51 @@ void expect_tile_matches_fma_chain(Isa isa, bool real) {
   const auto draw = [&](index_t rows, index_t cols, std::uint64_t seed) {
     return real ? random_uniform<T>(rows, cols, seed) : random_integer<T>(rows, cols, 3, seed);
   };
-  struct ALayout {
+  // Row k of a panel holds depth k at [offset, offset + tile) of a row
+  // `step` elements long.
+  struct Layout {
     index_t step, offset;
+    bool packed;
   };
+  const Layout a_layouts[] = {{MR, 0, true}, {NR, 0, true}, {NR, NR - MR, true},
+                              {NR + MR + 3, 2, false}};
+  const Layout b_layouts[] = {{NR, 0, true}, {NR + 7, 3, false}};
   std::uint64_t seed = 5000;
   for (const index_t kc : {index_t{1}, index_t{3}, index_t{17}, cfg.blocks.kc}) {
     for (const index_t mr : {index_t{1}, MR - 1, MR}) {
       for (const index_t nr : {index_t{1}, NR - 1, NR}) {
-        for (const ALayout lay : {ALayout{MR, 0}, ALayout{NR, 0}, ALayout{NR, NR - MR}}) {
-          // Panels as pack_a/pack_b lay them out: row k of `ap` holds depth
-          // k, and everything past the tile's last valid row or column is
-          // the packer's zero padding.
-          auto ap = draw(kc, lay.step, seed++);
-          auto bp = draw(kc, NR, seed++);
-          for (index_t k = 0; k < kc; ++k) {
-            for (index_t r = lay.offset + mr; r < lay.step; ++r) ap(k, r) = T(0);
-            for (index_t j = nr; j < NR; ++j) bp(k, j) = T(0);
-          }
-          const auto c0 = draw(MR, ldc, seed++);
-          auto expected = c0.clone();
-          for (index_t r = 0; r < mr; ++r) {
-            for (index_t j = 0; j < nr; ++j) {
-              T acc = T(0);
-              for (index_t k = 0; k < kc; ++k) {
-                acc = std::fma(ap(k, lay.offset + r), bp(k, j), acc);
+        for (const Layout la : a_layouts) {
+          for (const Layout lb : b_layouts) {
+            auto ap = draw(kc, la.step, seed++);
+            auto bp = draw(kc, lb.step, seed++);
+            for (index_t k = 0; k < kc; ++k) {
+              if (la.packed) {
+                for (index_t r = la.offset + mr; r < la.step; ++r) ap(k, r) = T(0);
               }
-              expected(r, j) = std::fma(alpha, acc, c0(r, j));
+              if (lb.packed) {
+                for (index_t j = lb.offset + nr; j < lb.step; ++j) bp(k, j) = T(0);
+              }
             }
+            const auto c0 = draw(MR, ldc, seed++);
+            auto expected = c0.clone();
+            for (index_t r = 0; r < mr; ++r) {
+              for (index_t j = 0; j < nr; ++j) {
+                T acc = T(0);
+                for (index_t k = 0; k < kc; ++k) {
+                  acc = std::fma(ap(k, la.offset + r), bp(k, lb.offset + j), acc);
+                }
+                expected(r, j) = std::fma(alpha, acc, c0(r, j));
+              }
+            }
+            auto c = c0.clone();
+            cfg.uk.fn(kc, alpha, ap.data() + la.offset, la.step, bp.data() + lb.offset, lb.step,
+                      c.data(), ldc, mr, nr);
+            ASSERT_EQ(std::memcmp(c.data(), expected.data(), sizeof(T) * MR * ldc), 0)
+                << "isa=" << kn::isa_name(isa) << " kc=" << kc << " mr=" << mr << " nr=" << nr
+                << " a_step=" << la.step << " a_offset=" << la.offset << " b_step=" << lb.step
+                << " b_offset=" << lb.offset
+                << " max diff=" << max_abs_diff<T>(c.const_view(), expected.const_view());
           }
-          auto c = c0.clone();
-          cfg.uk.fn(kc, alpha, ap.data() + lay.offset, lay.step, bp.data(), c.data(), ldc, mr,
-                    nr);
-          ASSERT_EQ(std::memcmp(c.data(), expected.data(), sizeof(T) * MR * ldc), 0)
-              << "isa=" << kn::isa_name(isa) << " kc=" << kc << " mr=" << mr << " nr=" << nr
-              << " a_step=" << lay.step << " a_offset=" << lay.offset
-              << " max diff=" << max_abs_diff<T>(c.const_view(), expected.const_view());
         }
       }
     }
@@ -337,6 +353,143 @@ TEST(Kernels, SyrkLowerEqualsGemmTnLowerBitwiseOnRealInputs) {
     const auto a = random_uniform<float>(5, n, 7100);
     auto c = Matrix<float>::zeros(n, n);
     expect_syrk_equals_gemm_tn_lower<float>(a.const_view(), c.view(), kn::isa_name(e->isa));
+  }
+}
+
+/// Row stride of the packed-path copies below: a k-panel this wide never
+/// fits the in-place budget, so leaves pack every micro-panel of it.
+constexpr index_t kWideStride = 4096;
+
+/// The values of `src` in the top-left corner of rows kWideStride apart.
+template <typename T>
+Matrix<T> wide_copy(ConstMatrixView<T> src) {
+  auto w = Matrix<T>::zeros(src.rows, kWideStride);
+  copy_into(src, w.view().block(0, 0, src.rows, src.cols));
+  return w;
+}
+
+/// The in-place leaf contract under the current dispatch: syrk_ln and
+/// gemm_tn on `a` / `b` (read in place) and on the same values behind
+/// kWideStride rows (packed) write memcmp-equal results — lower(C) for
+/// syrk_ln, all of C for gemm_tn — into the same nonzero C.
+template <typename T>
+void expect_in_place_equals_packed(ConstMatrixView<T> a, ConstMatrixView<T> b,
+                                   const char* what) {
+  const kn::KernelConfig<T>& cfg = kn::active_config<T>();
+  const index_t m = a.rows, n = a.cols, k = b.cols;
+  const index_t kc = std::min(cfg.blocks.kc, m);
+  ASSERT_TRUE(cfg.reads_in_place(kc, a.stride) && cfg.reads_in_place(kc, b.stride))
+      << what << ": compact operands must take the in-place path";
+  const auto wa = wide_copy(a);
+  const auto wb = wide_copy(b);
+  ASSERT_FALSE(cfg.reads_in_place(kc, kWideStride)) << what;
+  const auto wide_a = wa.const_view().block(0, 0, m, n);
+  const auto wide_b = wb.const_view().block(0, 0, m, k);
+  const T alpha = T(0.7);
+
+  const auto s0 = random_uniform<T>(n, n, 7300);
+  auto s_in_place = s0.clone();
+  auto s_packed = s0.clone();
+  blas::syrk_ln(alpha, a, s_in_place.view());
+  blas::syrk_ln(alpha, wide_a, s_packed.view());
+  for (index_t i = 0; i < n; ++i) {
+    ASSERT_EQ(std::memcmp(&s_in_place(i, 0), &s_packed(i, 0), sizeof(T) * (i + 1)), 0)
+        << what << " syrk_ln m=" << m << " n=" << n << " row " << i;
+  }
+
+  const auto g0 = random_uniform<T>(n, k, 7301);
+  auto g_in_place = g0.clone();
+  auto g_packed = g0.clone();
+  blas::gemm_tn(alpha, a, b, g_in_place.view());
+  blas::gemm_tn(alpha, wide_a, wide_b, g_packed.view());
+  ASSERT_EQ(std::memcmp(g_in_place.data(), g_packed.data(), sizeof(T) * n * k), 0)
+      << what << " gemm_tn m=" << m << " n=" << n << " k=" << k;
+}
+
+template <typename T>
+void expect_in_place_equals_packed_across_shapes(Isa isa) {
+  const kn::KernelConfig<T>& cfg = kn::config_for<T>(isa);
+  const index_t MR = cfg.uk.mr, NR = cfg.uk.nr;
+  const index_t tile_multiple = NR % MR == 0 ? 2 * NR : MR * NR;
+  std::uint64_t seed = 7200;
+  for (const index_t m : {index_t{37}, 2 * cfg.blocks.kc + 7}) {  // one kc panel; three
+    for (const index_t n : {tile_multiple, 3 * NR + 5, index_t{1}}) {
+      const auto a = random_uniform<T>(m, n, seed++);
+      const auto b = random_uniform<T>(m, n + 3, seed++);
+      expect_in_place_equals_packed<T>(a.const_view(), b.const_view(), kn::isa_name(isa));
+    }
+    // Offset sub-views of wider, still cache-resident storage.
+    const index_t n = 2 * NR + 3;
+    const auto big_a = random_uniform<T>(m + 3, n + 11, seed++);
+    const auto big_b = random_uniform<T>(m + 5, n + 2, seed++);
+    expect_in_place_equals_packed<T>(big_a.const_view().block(2, 5, m, n),
+                                     big_b.const_view().block(4, 1, m, n - NR),
+                                     kn::isa_name(isa));
+  }
+}
+
+// In-place leaves are bitwise the packed ones on every tier this machine
+// runs, scalar included: same micro-panels, same kc panels, same k order —
+// only where each micro-panel is read from differs.
+TEST(Kernels, InPlaceLeavesEqualPackedLeavesBitwiseOnRealInputs) {
+  for (const kn::KernelEntry* e : kn::available_kernels()) {
+    ForcedIsa forced(e->isa);
+    expect_in_place_equals_packed_across_shapes<double>(e->isa);
+    expect_in_place_equals_packed_across_shapes<float>(e->isa);
+  }
+}
+
+// Path oracle: the serve_small Gram (512 x 64 f64) and a gemm_tn on compact
+// Strassen-temporary-sized operands (C 128 x 128, depth 512) read their
+// operands in place and draw no pack buffer at all; the same values behind
+// kWideStride rows are packed. Where a tier's tile does not divide the
+// shape, only its ragged edge panels pack, so it still draws less.
+TEST(Kernels, CompactServedLeavesDrawNoPackBuffer) {
+  const auto a = random_uniform<double>(512, 64, 7400);
+  const auto g = random_uniform<double>(512, 128, 7401);
+  const auto h = random_uniform<double>(512, 128, 7402);
+  const auto wa = wide_copy(a.const_view());
+  const auto wg = wide_copy(g.const_view());
+  const auto wh = wide_copy(h.const_view());
+  const index_t bound = std::max(blas::syrk_workspace_bound<double>(512, 64),
+                                 blas::gemm_workspace_bound<double>(128, 128, 512));
+  for (const kn::KernelEntry* e : kn::available_kernels()) {
+    ForcedIsa forced(e->isa);
+    const kn::KernelConfig<double>& cfg = kn::active_config<double>();
+    const auto drawn = [&](auto leaf) {
+      Arena<double> arena(static_cast<std::size_t>(bound));
+      leaf(&arena);
+      EXPECT_EQ(arena.used(), 0u);
+      return arena.high_water();
+    };
+    auto s = Matrix<double>::zeros(64, 64);
+    auto c = Matrix<double>::zeros(128, 128);
+    const std::size_t syrk_compact =
+        drawn([&](Arena<double>* ar) { blas::syrk_ln(1.0, a.const_view(), s.view(), ar); });
+    const std::size_t syrk_wide = drawn([&](Arena<double>* ar) {
+      blas::syrk_ln(1.0, wa.const_view().block(0, 0, 512, 64), s.view(), ar);
+    });
+    const std::size_t gemm_compact = drawn([&](Arena<double>* ar) {
+      blas::gemm_tn(1.0, g.const_view(), h.const_view(), c.view(), ar);
+    });
+    const std::size_t gemm_wide = drawn([&](Arena<double>* ar) {
+      blas::gemm_tn(1.0, wg.const_view().block(0, 0, 512, 128),
+                    wh.const_view().block(0, 0, 512, 128), c.view(), ar);
+    });
+    EXPECT_GT(syrk_wide, 0u) << kn::isa_name(e->isa);
+    EXPECT_GT(gemm_wide, 0u) << kn::isa_name(e->isa);
+    const bool syrk_tiles = 64 % cfg.uk.mr == 0 && 64 % cfg.uk.nr == 0;
+    const bool gemm_tiles = 128 % cfg.uk.mr == 0 && 128 % cfg.uk.nr == 0;
+    if (syrk_tiles) {
+      EXPECT_EQ(syrk_compact, 0u) << kn::isa_name(e->isa);
+    } else {
+      EXPECT_LT(syrk_compact, syrk_wide) << kn::isa_name(e->isa);
+    }
+    if (gemm_tiles) {
+      EXPECT_EQ(gemm_compact, 0u) << kn::isa_name(e->isa);
+    } else {
+      EXPECT_LT(gemm_compact, gemm_wide) << kn::isa_name(e->isa);
+    }
   }
 }
 

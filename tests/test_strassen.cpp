@@ -156,13 +156,15 @@ TEST(Strassen, FloatPrecisionWithinStrassenTolerance) {
 TEST(Strassen, LargeBaseCaseShortCircuitsToBlas) {
   // With a huge threshold the call is one blas::gemm_tn; its only workspace
   // need is the leaf's packed panels, which now come from the same arena.
+  // n = 41 leaves ragged edge micro-panels on every tile, and the leaf packs
+  // those even where it reads its compact operands in place.
   RecurseOptions opts;
   opts.base_case_elements = 1 << 28;
-  auto a = random_integer<double>(40, 40, 3, 11);
-  auto b = random_integer<double>(40, 40, 3, 12);
-  auto c = Matrix<double>::zeros(40, 40);
-  const index_t bound = strassen_workspace_bound(40, 40, 40, opts, sizeof(double));
-  EXPECT_EQ(bound, blas::gemm_workspace_bound<double>(40, 40, 40));
+  auto a = random_integer<double>(41, 41, 3, 11);
+  auto b = random_integer<double>(41, 41, 3, 12);
+  auto c = Matrix<double>::zeros(41, 41);
+  const index_t bound = strassen_workspace_bound(41, 41, 41, opts, sizeof(double));
+  EXPECT_EQ(bound, blas::gemm_workspace_bound<double>(41, 41, 41));
   Arena<double> arena(static_cast<std::size_t>(bound));
   EXPECT_NO_THROW(strassen_tn(1.0, a.const_view(), b.const_view(), c.view(), arena, opts));
   EXPECT_GT(arena.high_water(), 0u);  // the leaf really packed from the arena

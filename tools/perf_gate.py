@@ -74,6 +74,8 @@ METRIC_FIELDS = frozenset({
     "compute_p99_us", "speedup", "noise_floor",
     # runtime_pool (BENCH_pool.json)
     "min_ms", "calls_per_s", "local_steals", "remote_steals", "steal_locality",
+    # fig4_sequential_strassen (BENCH_strassen.json)
+    "eff_gflops",
 })
 
 # Phases whose rates are not warm-path statements (see module docstring).

@@ -3,11 +3,9 @@
 // Sweeps the recursion cut-off threshold and shows the U-shape the paper's
 // choice sits in: tiny thresholds drown in recursion overhead and BLAS-1
 // block sums; huge thresholds degenerate AtA into one syrk call and forfeit
-// the Strassen savings. The cache-probed default and the measured tuner's
-// pick (strassen::Tuner, DESIGN.md §6) should both sit near the bottom of
-// the U — the tuned row is what base_case_elements = 0 actually runs with.
+// the Strassen savings. The cache-probed default is what base_case_elements
+// = 0 runs with when no tuning-cache entry names another (DESIGN.md §6).
 
-#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -33,7 +31,6 @@ int main(int argc, char** argv) {
   const auto a = random_uniform<double>(n, n, 1000);
   auto c = Matrix<double>::zeros(n, n);
   const index_t probed = static_cast<index_t>(default_base_case_elements(sizeof(double)));
-  const index_t tuned = tuned_base_case_elements(sizeof(double));
 
   Table table("Base-case threshold vs AtA runtime (n = " + std::to_string(n) + ")");
   table.set_header({"threshold (elems)", "vs cache-probed", "time (s)", "EG (r=1)"});
@@ -41,10 +38,6 @@ int main(int argc, char** argv) {
   std::vector<index_t> thresholds{index_t(1) << 8,  index_t(1) << 10, index_t(1) << 12,
                                   index_t(1) << 14, probed,           index_t(1) << 18,
                                   index_t(1) << 20, index_t(1) << 24};
-  if (std::find(thresholds.begin(), thresholds.end(), tuned) == thresholds.end()) {
-    thresholds.push_back(tuned);
-    std::sort(thresholds.begin(), thresholds.end());
-  }
 
   for (index_t threshold : thresholds) {
     RecurseOptions recurse;
@@ -55,11 +48,11 @@ int main(int argc, char** argv) {
           ata(1.0, a.const_view(), c.view(), recurse);
         },
         reps);
-    std::string label = threshold == probed   ? "probed default"
-                        : threshold == tuned  ? "tuner pick"
-                                              : Table::num(static_cast<double>(threshold) /
-                                                               static_cast<double>(probed),
-                                                           3);
+    std::string label = threshold == probed
+                            ? "probed default"
+                            : Table::num(static_cast<double>(threshold) /
+                                             static_cast<double>(probed),
+                                         3);
     const double eg = metrics::effective_gflops(1.0, n, n, n, t);
     table.add_row({std::to_string(threshold), label, Table::num(t), Table::num(eg, 2)});
 
@@ -68,16 +61,14 @@ int main(int argc, char** argv) {
         .str("dtype", "f64")
         .num("n", static_cast<std::uint64_t>(n))
         .num("threshold", static_cast<std::uint64_t>(threshold))
-        .str("label", threshold == probed  ? "probed"
-                      : threshold == tuned ? "tuned"
-                                           : "swept")
+        .str("label", threshold == probed ? "probed" : "swept")
         .num("seconds", t)
         .num("eff_gflops", eg);
     json.add(rec);
   }
   table.print();
   std::printf("shape check: runtime is U-shaped in the threshold; the probed default\n"
-              "(%ld elements) and the tuner's pick (%ld) should be at or near the minimum.\n",
-              static_cast<long>(probed), static_cast<long>(tuned));
+              "(%ld elements) should be at or near the minimum.\n",
+              static_cast<long>(probed));
   return json.flush() ? 0 : 1;
 }

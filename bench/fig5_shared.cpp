@@ -44,6 +44,7 @@ void run_shape(const char* label, index_t m, index_t n, int reps,
     SharedOptions opts;
     opts.threads = p;
     opts.recurse = recurse;
+    opts.engine = LeafEngine::kStrassen;  // the paper's AtA-S leaves
     double crit = 1e300;
     for (int r = 0; r < reps; ++r) {
       fill_view(c.view(), 0.0f);

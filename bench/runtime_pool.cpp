@@ -119,6 +119,7 @@ int main(int argc, char** argv) {
   opts.threads = threads;
   opts.oversub = oversub;
   opts.recurse = bench::recurse_from_flags(flags);
+  opts.engine = LeafEngine::kStrassen;  // the paper's AtA-S leaves
   validate(opts);
 
   runtime::ThreadPool pool(threads);

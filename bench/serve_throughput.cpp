@@ -19,8 +19,8 @@
 //                 slab allocations, ZERO thread-local pack allocations and
 //                 ZERO plan-cache misses (hard-checked; nonzero exit).
 //   tall_skinny — one m >> n shape served by the forced kBlas plan vs
-//                 the forced recursive plan, plus what the auto planner
-//                 picked for it.
+//                 the forced recursive plan, plus default options ("auto",
+//                 the kBlas engine).
 //
 // A final phase exercises PR 10's overload control (DESIGN.md §10):
 //   overload — clients = 4x the pool slots against a bounded-admission
@@ -353,51 +353,58 @@ int main(int argc, char** argv) {
     btable.print();
   }
 
-  // --- Phase 5: tall-skinny planner — forced kBlas vs forced recursive on
-  // one m >> n shape, plus the auto planner's own choice.
+  // --- Phase 5: tall-skinny shape — forced kBlas vs forced recursive on
+  // one m >> n shape, plus what default options ("auto") serve it with.
   {
     const Shape ts{bench::scaled(16384, scale), bench::scaled(64, scale)};
     const auto a = random_uniform<double>(ts.m, ts.n, 7);
     auto c = Matrix<double>::zeros(ts.n, ts.n);
     const int reps = std::max(3, requests / 4);
 
-    Table ttable("Tall-skinny planner, m=" + std::to_string(ts.m) + " n=" +
+    Table ttable("Tall-skinny shape, m=" + std::to_string(ts.m) + " n=" +
                  std::to_string(ts.n) + " f64");
     ttable.set_header({"plan", "engine", "reps", "req/s", "mean ms/req"});
 
-    auto time_plan = [&](const char* label, index_t ratio) {
-      api::Server tserver(api::Server::Options{threads, 16});
-      SharedOptions topts = sopts;
-      topts.tall_skinny_ratio = ratio;
-      const auto key = api::shared_plan_key(api::dtype_of<double>(), ts.m, ts.n, topts);
-      const char* engine = key.engine == LeafEngine::kBlas ? "blas" : "strassen";
-      tserver.submit(1.0, a.const_view(), c.view(), topts).get();  // cold
+    struct TimedPlan {
+      const char* label;
+      SharedOptions opts;
       double secs = 0.0;
-      for (int rep = 0; rep < kTimedReps; ++rep) {
+    };
+    SharedOptions blas = sopts, recursive = sopts;
+    blas.engine = LeafEngine::kBlas;
+    recursive.engine = LeafEngine::kStrassen;
+    TimedPlan plans[] = {{"forced_blas", blas}, {"forced_recursive", recursive}, {"auto", sopts}};
+    api::Server tserver(api::Server::Options{threads, 16});
+    for (const TimedPlan& p : plans) tserver.submit(1.0, a.const_view(), c.view(), p.opts).get();
+    // Rounds interleave the plans, so drift in the host's speed hits each
+    // plan alike instead of whichever runs first.
+    for (int rep = 0; rep < kTimedReps; ++rep) {
+      for (TimedPlan& p : plans) {
         Timer t;
         for (int r = 0; r < reps; ++r) {
-          tserver.submit(1.0, a.const_view(), c.view(), topts).get();
+          tserver.submit(1.0, a.const_view(), c.view(), p.opts).get();
         }
         const double s = t.seconds();
-        if (rep == 0 || s < secs) secs = s;
+        if (rep == 0 || s < p.secs) p.secs = s;
       }
-      ttable.add_row({label, engine, std::to_string(reps), Table::num(reps / secs, 1),
-                      Table::num(secs / reps * 1e3, 3)});
+    }
+    for (const TimedPlan& p : plans) {
+      const auto key = api::shared_plan_key(api::dtype_of<double>(), ts.m, ts.n, p.opts);
+      const char* engine = key.engine == LeafEngine::kBlas ? "blas" : "strassen";
+      ttable.add_row({p.label, engine, std::to_string(reps), Table::num(reps / p.secs, 1),
+                      Table::num(p.secs / reps * 1e3, 3)});
       bench::JsonWriter::Record rec;
       rec.str("phase", "tall_skinny")
-          .str("plan", label)
+          .str("plan", p.label)
           .str("engine", engine)
           .num("m", static_cast<std::uint64_t>(ts.m))
           .num("n", static_cast<std::uint64_t>(ts.n))
           .num("reps", reps)
-          .num("req_per_sec", reps / secs)
-          .num("mean_ms", secs / reps * 1e3)
+          .num("req_per_sec", reps / p.secs)
+          .num("mean_ms", p.secs / reps * 1e3)
           .num("pool_threads", threads);
       json.add(rec);
-    };
-    time_plan("forced_blas", 2);
-    time_plan("forced_recursive", -1);
-    time_plan("auto", 0);
+    }
     ttable.print();
   }
 

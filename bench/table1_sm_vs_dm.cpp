@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
     SharedOptions sopts;
     sopts.threads = sm_threads;
     sopts.recurse = recurse;
+    sopts.engine = LeafEngine::kStrassen;  // the paper's AtA-S leaves
     const auto sm_profile = ata_shared_profile(1.0, a.const_view(), c.view(), sopts);
     const double sm_seconds = sm_profile.critical_path_seconds;
 

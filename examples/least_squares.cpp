@@ -7,9 +7,8 @@
 // designs, per-sensor calibrations) shares one shape, so the Gram stage
 // is one fused api::Server::submit_batch call: the batch plans the shape
 // once and forms every problem's A^T A as a single pool batch, with one
-// future per problem. The designs here are tall (m >> n), so the query
-// planner picks the blocked syrk/gemm kernels over the Strassen recursion
-// when the measured crossover says so.
+// future per problem. Default options form each Gram with the blocked
+// syrk/gemm kernels.
 //
 //   ./least_squares [--m 4000] [--n 300] [--noise 0.01] [--problems 8]
 

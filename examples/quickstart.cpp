@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
   auto c_shared = Matrix<double>::zeros(n, n);
   SharedOptions sopts;
   sopts.threads = static_cast<int>(flags.get_int("threads"));
+  sopts.engine = LeafEngine::kStrassen;  // the paper's AtA-S leaves
   Timer t2;
   ata_shared(1.0, a.const_view(), c_shared.view(), sopts);
   std::printf("AtA-S (%2d threads)    : %8.3f s\n", sopts.threads, t2.seconds());

@@ -25,6 +25,19 @@ index_t ops_workspace(const std::vector<sched::LeafOp>& ops, const PlanKey& key)
   return bound;
 }
 
+/// The cut-off part of a key. Only the Strassen engine recurses, so only
+/// its keys carry one, and they store the *resolved* value (auto -> tuning
+/// cache or probe): a plan's workspace bounds then always match the leaves'
+/// actual recursion. Classical keys keep the zero defaults, so they never
+/// consult the tuner and requests that differ only in unused cut-offs
+/// share one plan.
+void set_cutoff(PlanKey& key, const RecurseOptions& recurse) {
+  if (key.engine != LeafEngine::kStrassen) return;
+  key.base_case_elements =
+      recurse.resolved_base_elements(key.dtype == Dtype::kF32 ? sizeof(float) : sizeof(double));
+  key.min_dim = recurse.min_dim;
+}
+
 }  // namespace
 
 std::size_t PlanKeyHash::operator()(const PlanKey& k) const noexcept {
@@ -51,30 +64,7 @@ PlanKey shared_plan_key(Dtype dtype, index_t m, index_t n, const SharedOptions& 
   key.p = opts.threads;
   key.oversub = opts.oversub;
   key.engine = opts.engine;
-  // Store the *resolved* cut-off (auto -> tuner), so the tuned value is part
-  // of the cache identity: two processes with different tuning outcomes can
-  // never share a serialized plan whose schedule assumed the other cut-off,
-  // and a plan's workspace bounds always match the leaves' actual recursion.
-  key.base_case_elements =
-      opts.recurse.resolved_base_elements(dtype == Dtype::kF32 ? sizeof(float) : sizeof(double));
-  key.min_dim = opts.recurse.min_dim;
-  // Shape-aware engine choice: a kStrassen request whose m/n reaches the
-  // tall-skinny crossover is served by the blocked kBlas kernels instead of
-  // the recursion. The tuner is consulted *lazily* — only for shapes kBlas
-  // could possibly win (m >= 2n, the smallest crossover the ladder can
-  // report) — so square-ish traffic never pays the measurement. The
-  // resolved engine is part of the key, so two processes with different
-  // tuning outcomes never share a plan. tall_skinny_ratio: 0 = auto
-  // (tuner), > 0 = forced threshold (clamped to the m >= 2n floor), -1 =
-  // recursion only.
-  if (opts.engine == LeafEngine::kStrassen && opts.tall_skinny_ratio >= 0 && n > 0 &&
-      m >= 2 * n) {
-    index_t ratio = opts.tall_skinny_ratio;
-    if (ratio == 0) {
-      ratio = tuned_tall_skinny_ratio(dtype == Dtype::kF32 ? sizeof(float) : sizeof(double));
-    }
-    if (m >= ratio * n) key.engine = LeafEngine::kBlas;
-  }
+  set_cutoff(key, opts.recurse);
   return key;
 }
 
@@ -87,10 +77,7 @@ PlanKey dist_plan_key(Dtype dtype, index_t m, index_t n, const dist::DistOptions
   key.p = opts.procs;
   key.lb_alpha = opts.alpha;
   key.engine = opts.engine;
-  // Same resolved-cut-off rule as shared_plan_key (see above).
-  key.base_case_elements =
-      opts.recurse.resolved_base_elements(dtype == Dtype::kF32 ? sizeof(float) : sizeof(double));
-  key.min_dim = opts.recurse.min_dim;
+  set_cutoff(key, opts.recurse);
   return key;
 }
 

@@ -47,11 +47,11 @@ struct PlanKey {
   int p = 1;      ///< the paper's P: threads (shared) / processes (dist)
   int oversub = 1;         ///< shared only; always 1 for dist plans
   double lb_alpha = 0.0;   ///< dist only (§4.1.2); always 0 for shared plans
-  /// *Resolved* leaf engine: what the shape-aware planner chose, not what
-  /// the caller asked for. shared_plan_key turns kStrassen into kBlas when
-  /// m/n reaches the tall-skinny crossover (DESIGN.md §8).
-  LeafEngine engine = LeafEngine::kStrassen;
-  index_t base_case_elements = 0;  ///< *resolved* cut-off (auto -> tuner value)
+  /// The leaf engine the request named; the key builders never rewrite it.
+  LeafEngine engine = LeafEngine::kBlas;
+  /// kStrassen keys: the *resolved* cut-off (auto -> tuner value) and the
+  /// request's min_dim. kBlas keys carry neither (0 and the default 8).
+  index_t base_case_elements = 0;
   index_t min_dim = 8;
 
   bool operator==(const PlanKey&) const = default;

@@ -21,7 +21,8 @@ struct DistOptions {
   /// Leaf recursion cut-offs, shared with the sequential algorithms.
   RecurseOptions recurse{};
 
-  /// Leaf engine, shared with AtA-S (parallel/leaf_exec.hpp).
+  /// Leaf engine, shared with AtA-S (parallel/leaf_exec.hpp). AtA-D is
+  /// not served, so it keeps the paper's Strassen leaves by default.
   using Engine = LeafEngine;
   Engine engine = Engine::kStrassen;
 };

@@ -17,11 +17,6 @@ void validate(const SharedOptions& opts) {
     throw std::invalid_argument("SharedOptions.oversub must be >= 1, got " +
                                 std::to_string(opts.oversub));
   }
-  if (opts.tall_skinny_ratio < -1) {
-    throw std::invalid_argument(
-        "SharedOptions.tall_skinny_ratio must be >= -1 (-1 = disabled, 0 = auto), got " +
-        std::to_string(opts.tall_skinny_ratio));
-  }
   validate(opts.recurse, "SharedOptions");
 }
 

@@ -10,7 +10,9 @@
 // workspace arenas make repeated calls thread-creation- and malloc-free.
 // Callers that need a specific pool fetch the plan themselves and call
 // api::execute(plan, alpha, a, c, &pool). Disjoint writes mean no locks
-// and no atomics on C — the paper's "perfect parallelism".
+// and no atomics on C — the paper's "perfect parallelism". The leaves run
+// the classical kBlas kernels unless SharedOptions::engine names the
+// paper's Strassen recursion (kStrassen).
 
 #include <chrono>
 #include <vector>
@@ -33,20 +35,13 @@ struct SharedOptions {
   /// cores. 1 reproduces the paper's one-task-per-thread schedule.
   int oversub = 1;
   RecurseOptions recurse{};
-  /// Leaf engine: Strassen-accelerated AtA/FastStrassen (the paper's
-  /// AtA-S) or the plain blocked BLAS kernels (the "MKL-style" execution
-  /// used for the Fig. 5 baseline and for AtA-D leaf fallbacks). Shared
-  /// with the distributed layer (parallel/leaf_exec.hpp).
+  /// Leaf engine: the plain blocked BLAS kernels (the default: the
+  /// measured choice on every served shape, DESIGN.md §6) or the
+  /// Strassen-accelerated AtA/FastStrassen recursion (the paper's AtA-S;
+  /// set it explicitly to reproduce the paper). Shared with the
+  /// distributed layer (parallel/leaf_exec.hpp).
   using Engine = LeafEngine;
-  Engine engine = Engine::kStrassen;
-  /// Tall-skinny planner knob (only meaningful with engine == kStrassen):
-  /// when m/n reaches this ratio the plan is served by the kBlas engine
-  /// instead of the recursion (api::shared_plan_key). 0 = auto — resolve
-  /// the crossover through the measured tuner
-  /// (strassen::Tuner::tall_skinny_ratio); > 0 = forced threshold (the
-  /// planner floors it at 2 — below m = 2n the recursion always wins);
-  /// -1 = recursion only (forced-recursive plans, the bench/test control).
-  index_t tall_skinny_ratio = 0;
+  Engine engine = Engine::kBlas;
   /// Serving-layer QoS (api::Server; DESIGN.md §10) — ignored by the
   /// direct ata_shared() call paths and deliberately NOT part of the plan
   /// key (api::shared_plan_key), so traffic at every priority shares one

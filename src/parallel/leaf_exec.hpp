@@ -16,11 +16,10 @@
 namespace atalib {
 
 /// Leaf multiplication engine. kStrassen is the paper's AtA / FastStrassen
-/// recursion; kBlas is the blocked cubic kernel (the "MKL-style" execution
-/// used as the Fig. 5/6 baseline and an allocation-free fallback), which
-/// the shape-aware planner also picks for tall-skinny kStrassen requests
-/// when m/n crosses the measured crossover (api::shared_plan_key,
-/// DESIGN.md §8).
+/// recursion (AtA-S/AtA-D as published, and the DistOptions default);
+/// kBlas is the blocked cubic kernel (the "MKL-style" Fig. 5/6 baseline),
+/// which measured faster on every served shape and is the SharedOptions
+/// default (DESIGN.md §6).
 enum class LeafEngine { kStrassen, kBlas };
 
 /// Execute one leaf multiplication on pre-cut views: for kSyrk,

@@ -10,18 +10,10 @@
 
 namespace atalib {
 
-/// Measured auto-tuned base-case threshold for scalars of `elem_bytes`
-/// bytes (strassen/tuner.cpp): registry gemm vs one Strassen level across a
-/// size ladder, cached in ATALIB_TUNING_CACHE, falling back to the static
-/// cache probe when no crossover is found or under the forced-scalar env.
+/// Auto base-case threshold for scalars of `elem_bytes` bytes on the
+/// dispatched ISA (strassen/tuner.cpp): the ATALIB_TUNING_CACHE entry when
+/// there is one, else the static cache probe.
 index_t tuned_base_case_elements(std::size_t elem_bytes);
-
-/// Measured tall-skinny crossover ratio m/n at which the blocked syrk
-/// (the kBlas engine) beats the Strassen recursion for scalars of
-/// `elem_bytes` bytes (strassen/tuner.cpp; cached per ISA/dtype alongside
-/// the base-case entries). The shape-aware planner (api::shared_plan_key)
-/// consults this when SharedOptions::tall_skinny_ratio is 0.
-index_t tuned_tall_skinny_ratio(std::size_t elem_bytes);
 
 /// Recursion cut-off options. The algorithms are cache-oblivious: these
 /// thresholds only pick the hand-off point to the leaf BLAS kernel
@@ -36,11 +28,10 @@ struct RecurseOptions {
   /// extra block sums regardless of cache footprint.
   index_t min_dim = 8;
 
-  /// Resolve base_case_elements. 0 = auto: consult the measured tuner
-  /// (memoized per ISA/dtype, file-cached), which itself falls back to the
-  /// static cache probe. Plan keys store the *resolved* value so a cached
-  /// plan's schedule and workspace bounds can never drift from the cut-off
-  /// the leaves actually run with.
+  /// Resolve base_case_elements. 0 = auto: the tuning-cache entry for this
+  /// ISA/dtype, else the static cache probe. Strassen plan keys store the
+  /// *resolved* value so a cached plan's workspace bounds can never drift
+  /// from the cut-off the leaves actually run with.
   index_t resolved_base_elements(std::size_t elem_bytes) const {
     if (base_case_elements > 0) return base_case_elements;
     return tuned_base_case_elements(elem_bytes);

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstring>
 #include <future>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -17,6 +20,7 @@
 #include "api/plan_cache.hpp"
 #include "api/server.hpp"
 #include "ata/ata.hpp"
+#include "blas/syrk.hpp"
 #include "dist/ata_dist.hpp"
 #include "matrix/compare.hpp"
 #include "matrix/generate.hpp"
@@ -40,6 +44,7 @@ SharedOptions shared_opts(int threads, int oversub) {
   so.threads = threads;
   so.oversub = oversub;
   so.recurse = tiny_base();
+  so.engine = LeafEngine::kStrassen;
   return so;
 }
 
@@ -368,68 +373,65 @@ TEST(SharedOptionsValidation, RejectsBadRecurseCutoffsEverywhere) {
   EXPECT_THROW(dist::ata_dist(1.0, a, dopts), std::invalid_argument);
 }
 
-// ---- Shape-aware planner: the tall-skinny engine choice ----------------
+// ---- Planner: the engine a request names is the engine it gets ---------
 
-SharedOptions ratio_opts(index_t tall_skinny_ratio) {
-  SharedOptions so = shared_opts(2, 1);
-  so.tall_skinny_ratio = tall_skinny_ratio;
-  return so;
+TEST(QueryPlanner, TallSkinnyStrassenRequestKeepsStrassenPlan) {
+  // No shape rewrites the engine: a 16384 x 64 kStrassen request (m/n =
+  // 256) is planned on the recursion, and its kBlas twin is a distinct plan.
+  const index_t m = 16384, n = 64;
+  SharedOptions strassen_opts = shared_opts(2, 1);
+  const auto rec = api::shared_plan_key(api::dtype_of<double>(), m, n, strassen_opts);
+  EXPECT_EQ(rec.engine, LeafEngine::kStrassen);
+  EXPECT_EQ(rec.base_case_elements, 256);
+
+  SharedOptions blas_opts = strassen_opts;
+  blas_opts.engine = LeafEngine::kBlas;
+  const auto blas = api::shared_plan_key(api::dtype_of<double>(), m, n, blas_opts);
+  EXPECT_EQ(blas.engine, LeafEngine::kBlas);
+  EXPECT_NE(rec, blas) << "the engine must separate cached plans";
 }
 
-TEST(QueryPlanner, TallSkinnyCrossoverSelectsBlasEngine) {
-  // Forced thresholds on both sides of the shape make the choice an
-  // oracle: m/n = 16 selects kBlas iff the threshold is at or below 16,
-  // and the resolved engine in the plan key is what separates the plans.
-  const index_t m = 1024, n = 64;  // m/n = 16
-  const auto below = api::shared_plan_key(api::dtype_of<double>(), m, n, ratio_opts(8));
-  EXPECT_EQ(below.engine, LeafEngine::kBlas);
+TEST(QueryPlanner, DefaultKeyIsClassicalWithoutCutoff) {
+  // Default options serve the classical engine, and classical keys carry
+  // no cut-off, so they never resolve one through the tuner.
+  const auto def = api::shared_plan_key(api::dtype_of<double>(), 512, 384, SharedOptions{});
+  EXPECT_EQ(def.engine, LeafEngine::kBlas);
+  EXPECT_EQ(def.base_case_elements, 0);
 
-  const auto above = api::shared_plan_key(api::dtype_of<double>(), m, n, ratio_opts(32));
-  EXPECT_EQ(above.engine, LeafEngine::kStrassen);
+  // Cut-offs a kBlas request names do not split its plan.
+  SharedOptions with_cutoffs;
+  with_cutoffs.recurse = tiny_base();
+  EXPECT_EQ(api::shared_plan_key(api::dtype_of<double>(), 512, 384, with_cutoffs), def);
 
-  const auto disabled = api::shared_plan_key(api::dtype_of<double>(), m, n, ratio_opts(-1));
-  EXPECT_EQ(disabled.engine, LeafEngine::kStrassen);
-
-  EXPECT_NE(below, above) << "the resolved engine must separate cached plans";
-  EXPECT_EQ(above, disabled) << "thresholds that keep the recursion share one plan";
-
-  // Square-ish shapes never take the fast path regardless of threshold.
-  const auto square = api::shared_plan_key(api::dtype_of<double>(), 96, 80, ratio_opts(2));
-  EXPECT_EQ(square.engine, LeafEngine::kStrassen);
-
-  // A forced kBlas request and a tall-skinny kStrassen one resolve to the
-  // same plan.
-  SharedOptions blas_engine = ratio_opts(-1);
-  blas_engine.engine = LeafEngine::kBlas;
-  EXPECT_EQ(api::shared_plan_key(api::dtype_of<double>(), m, n, blas_engine), below);
+  dist::DistOptions dopts;
+  dopts.procs = 2;
+  dopts.engine = LeafEngine::kBlas;
+  dopts.recurse = tiny_base();
+  EXPECT_EQ(api::dist_plan_key(api::dtype_of<float>(), 512, 384, dopts).base_case_elements, 0);
+  // AtA-D keeps the paper's leaves by default.
+  EXPECT_EQ(dist::DistOptions{}.engine, LeafEngine::kStrassen);
 }
 
 TEST(QueryPlanner, TallSkinnyBlasPlanExecutesBitwiseEqualToRecursive) {
-  // Both engine choices on one tall-skinny input must agree bitwise on
-  // integer data — the planner changes the engine, not the math.
+  // Both engines on one tall-skinny input must agree bitwise on integer
+  // data — the engine changes the association of sums, not the math.
   const index_t m = 1024, n = 48;
-  ASSERT_EQ(api::shared_plan_key(api::dtype_of<double>(), m, n, ratio_opts(4)).engine,
-            LeafEngine::kBlas);
+  SharedOptions blas_opts = shared_opts(2, 1);
+  blas_opts.engine = LeafEngine::kBlas;
+  const SharedOptions rec_opts = shared_opts(2, 1);
   const auto a = random_integer<double>(m, n, 2, 77);
   auto c_blas = Matrix<double>::zeros(n, n);
-  ata_shared(1.0, a.const_view(), c_blas.view(), ratio_opts(4));
+  ata_shared(1.0, a.const_view(), c_blas.view(), blas_opts);
   auto c_rec = Matrix<double>::zeros(n, n);
-  ata_shared(1.0, a.const_view(), c_rec.view(), ratio_opts(-1));  // forced recursive
+  ata_shared(1.0, a.const_view(), c_rec.view(), rec_opts);
   EXPECT_EQ(max_abs_diff_lower<double>(c_blas.const_view(), c_rec.const_view()), 0.0);
 
   const auto a_f32 = random_integer<float>(m, n, 2, 78);
   auto c_blas_f32 = Matrix<float>::zeros(n, n);
-  ata_shared(1.0f, a_f32.const_view(), c_blas_f32.view(), ratio_opts(4));
+  ata_shared(1.0f, a_f32.const_view(), c_blas_f32.view(), blas_opts);
   auto c_rec_f32 = Matrix<float>::zeros(n, n);
-  ata_shared(1.0f, a_f32.const_view(), c_rec_f32.view(), ratio_opts(-1));
+  ata_shared(1.0f, a_f32.const_view(), c_rec_f32.view(), rec_opts);
   EXPECT_EQ(max_abs_diff_lower<float>(c_blas_f32.const_view(), c_rec_f32.const_view()), 0.0);
-}
-
-TEST(QueryPlanner, RejectsRatioBelowMinusOne) {
-  const auto a = random_integer<double>(64, 16, 2, 4);
-  auto c = Matrix<double>::zeros(16, 16);
-  SharedOptions so = ratio_opts(-2);
-  EXPECT_THROW(ata_shared(1.0, a.const_view(), c.view(), so), std::invalid_argument);
 }
 
 TEST(SharedOptionsValidation, ValidOptionsStillCompute) {
@@ -439,6 +441,53 @@ TEST(SharedOptionsValidation, ValidOptionsStillCompute) {
   auto c = Matrix<double>::zeros(32, 32);
   ata_shared(1.0, a.const_view(), c.view(), shared_opts(3, 2));
   EXPECT_EQ(max_abs_diff_lower<double>(c.const_view(), c_ref.const_view()), 0.0);
+}
+
+// ---- Non-finite inputs on the default engine ---------------------------
+
+/// Lower triangles equal bit for bit, any NaN matching any NaN.
+bool lower_bitwise_equal(const Matrix<double>& x, const Matrix<double>& y) {
+  for (index_t i = 0; i < x.rows(); ++i) {
+    for (index_t j = 0; j <= i; ++j) {
+      const double u = x(i, j), v = y(i, j);
+      if (std::isnan(u) && std::isnan(v)) continue;
+      if (std::memcmp(&u, &v, sizeof(double)) != 0) return false;
+    }
+  }
+  return true;
+}
+
+TEST(ServingDefaults, InfInputMatchesClassicalSyrk) {
+  // One +Inf in a 1024 x 1024 A: classical syrk gives Inf along its row
+  // and column of lower(C) and no NaN. Default options must serve exactly
+  // that. (The Strassen recursion at the probe cut-off of a 2 MiB L2 forms
+  // block differences here, and Inf - Inf = NaN.)
+  const index_t n = 1024;
+  auto a = random_uniform<double>(n, n, 91);
+  a(100, 37) = std::numeric_limits<double>::infinity();
+  auto c_ref = Matrix<double>::zeros(n, n);
+  blas::syrk_ln(1.0, a.const_view(), c_ref.view());
+  index_t infs = 0, nans = 0;
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t j = 0; j <= i; ++j) {
+      infs += std::isinf(c_ref(i, j)) ? 1 : 0;
+      nans += std::isnan(c_ref(i, j)) ? 1 : 0;
+    }
+  }
+  ASSERT_EQ(infs, n);
+  ASSERT_EQ(nans, 0);
+
+  api::Server server(api::Server::Options{4, 8});
+  auto c_batch = Matrix<double>::zeros(n, n);
+  const std::vector<api::AtaRequest<double>> one = {{1.0, a.const_view(), c_batch.view()}};
+  for (auto& f : server.submit_batch<double>(one)) f.get();
+  EXPECT_TRUE(lower_bitwise_equal(c_batch, c_ref)) << "Server::submit_batch";
+
+  SharedOptions serial;
+  serial.threads = 1;
+  auto c_shared = Matrix<double>::zeros(n, n);
+  ata_shared(1.0, a.const_view(), c_shared.view(), serial);
+  EXPECT_TRUE(lower_bitwise_equal(c_shared, c_ref)) << "ata_shared";
 }
 
 }  // namespace

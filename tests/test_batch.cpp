@@ -34,15 +34,14 @@ RecurseOptions tiny_base() {
   return opts;
 }
 
-// Batched-serving plan shape with explicit knobs everywhere so no test
-// consults the measured tuner: tiny base case, tall-skinny planner
-// disabled unless a test opts in.
+// Batched-serving plan shape on the paper's Strassen leaves with a tiny
+// explicit base case, so small requests still recurse.
 SharedOptions batch_opts(int threads, int oversub) {
   SharedOptions so;
   so.threads = threads;
   so.oversub = oversub;
   so.recurse = tiny_base();
-  so.tall_skinny_ratio = -1;
+  so.engine = LeafEngine::kStrassen;
   return so;
 }
 
@@ -212,9 +211,6 @@ TEST(SubmitBatch, InvalidRequestRejectsWholeBatchBeforeEnqueue) {
   // Bad options are rejected before any request is examined.
   EXPECT_THROW(server.submit_batch<double>(requests, batch_opts(0, 1)),
                std::invalid_argument);
-  SharedOptions bad_ratio = batch_opts(1, 1);
-  bad_ratio.tall_skinny_ratio = -2;
-  EXPECT_THROW(server.submit_batch<double>(requests, bad_ratio), std::invalid_argument);
 
   // The server still serves after rejected batches.
   std::vector<api::AtaRequest<double>> good = {{1.0, a0.const_view(), c0.view()}};
@@ -255,13 +251,12 @@ TEST(SubmitBatch, DefaultOverloadUsesSerialPerRequestPlans) {
 }
 
 TEST(SubmitBatch, TallF32BatchMatchesSyrkBitwise) {
-  // A batch of 2048x256 f32 Grams at m/n = 8 goes to the kBlas engine, one
-  // serial task per request, so each result must be blas::syrk_ln's
-  // bitwise — on real-valued inputs, where any change in accumulation
-  // order would show.
+  // A batch of 2048x256 f32 Grams on default options runs the kBlas
+  // engine, one serial task per request, so each result must be
+  // blas::syrk_ln's bitwise — on real-valued inputs, where any change in
+  // accumulation order would show.
   const index_t m = 2048, n = 256;
-  SharedOptions so = batch_opts(1, 1);
-  so.tall_skinny_ratio = 8;
+  const SharedOptions so;
   ASSERT_EQ(api::shared_plan_key(api::dtype_of<float>(), m, n, so).engine, LeafEngine::kBlas);
 
   api::Server server(api::Server::Options{4, 8});

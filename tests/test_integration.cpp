@@ -43,6 +43,7 @@ TEST(Integration, AllEnginesAgreeBitwiseOnIntegerInput) {
   SharedOptions so;
   so.threads = 7;
   so.recurse = tiny_base();
+  so.engine = LeafEngine::kStrassen;
   ata_shared(1.0, a.const_view(), by_shared.view(), so);
 
   dist::DistOptions dopts;
@@ -136,6 +137,7 @@ TEST(Integration, SharedAndDistAgreeAcrossPrecisions) {
   SharedOptions so;
   so.threads = 4;
   so.recurse = tiny_base();
+  so.engine = LeafEngine::kStrassen;
   auto c_s = Matrix<float>::zeros(n, n);
   ata_shared(1.0f, a.const_view(), c_s.view(), so);
   dist::DistOptions dopts;
@@ -154,6 +156,7 @@ TEST(Integration, SharedProfileMatchesParallelExecution) {
   SharedOptions so;
   so.threads = 6;
   so.recurse = tiny_base();
+  so.engine = LeafEngine::kStrassen;
   auto c1 = Matrix<double>::zeros(64, 64);
   ata_shared(1.0, a.const_view(), c1.view(), so);
   auto c2 = Matrix<double>::zeros(64, 64);
@@ -195,6 +198,7 @@ TEST(Integration, RepeatedCallsAreIdempotentInStructure) {
   SharedOptions so;
   so.threads = 3;
   so.recurse = tiny_base();
+  so.engine = LeafEngine::kStrassen;
   ata_shared(1.0, a.const_view(), first.view(), so);
   for (int rep = 0; rep < 5; ++rep) {
     auto again = Matrix<double>::zeros(40, 40);

@@ -339,6 +339,7 @@ TEST(NumaAta, PlacedExecutionBitwiseMatchesFlatPool) {
     so.threads = 4;
     so.oversub = 2;
     so.recurse = tiny_base();
+    so.engine = LeafEngine::kStrassen;
     const auto plan = api::PlanCache::global().get_or_build(
         api::shared_plan_key(api::Dtype::kF64, m, n, so));
     auto c = Matrix<double>::zeros(n, n);
@@ -379,6 +380,7 @@ TEST(NumaServer, RuntimeStatsReportPerNodePlacement) {
   so.threads = 4;
   so.oversub = 1;  // 4 tasks over worker slots 0-2 as 1/1/2 -> 2 per node
   so.recurse = tiny_base();
+  so.engine = LeafEngine::kStrassen;
   server.submit(1.0f, a.const_view(), c.view(), so).get();
 
   const auto stats = server.runtime_stats();
@@ -423,6 +425,7 @@ TEST(NumaServer, ServedTrafficFollowsWorkerSlotShare) {
   so.threads = 4;
   so.oversub = 2;
   so.recurse = tiny_base();
+  so.engine = LeafEngine::kStrassen;
   server.submit(1.0, big.const_view(), c_big.view(), so).get();
   EXPECT_EQ(scheduled(), (std::vector<std::uint64_t>{205, 103}));
 

@@ -487,6 +487,7 @@ TEST(AtaSharedPool, BitwiseMatchesSerialAtaOnIntegerInputs) {
         so.threads = p;
         so.oversub = oversub;
         so.recurse = tiny_base();
+        so.engine = LeafEngine::kStrassen;
         auto c_pool = Matrix<double>::zeros(shape.n, shape.n);
         ata_shared_on(pool, 1.0, a.const_view(), c_pool.view(), so);
         EXPECT_EQ(max_abs_diff_lower<double>(c_pool.const_view(), c_serial.const_view()), 0.0)
@@ -505,6 +506,7 @@ TEST(AtaSharedPool, GlobalPoolAndExplicitPoolAgree) {
   so.threads = 5;
   so.oversub = 2;
   so.recurse = tiny_base();
+  so.engine = LeafEngine::kStrassen;
   auto c_global = Matrix<float>::zeros(56, 56);
   ata_shared(1.0f, a.const_view(), c_global.view(), so);  // the global pool
 
@@ -552,6 +554,7 @@ TEST(AtaSharedPool, SingleThreadPlanRunsInlineOnCaller) {
   so.threads = 1;
   so.oversub = 4;
   so.recurse = tiny_base();
+  so.engine = LeafEngine::kStrassen;
   const auto plan = api::PlanCache::global().get_or_build(
       api::shared_plan_key(api::Dtype::kF64, 96, 80, so));
   ASSERT_EQ(plan->key().p, 1);
@@ -609,6 +612,7 @@ TEST_P(PoolAtaThreads, StrassenPlanMatchesSerialAta) {
   so.threads = GetParam();
   so.oversub = 2;
   so.recurse = tiny_base();
+  so.engine = LeafEngine::kStrassen;
   auto c_pool = Matrix<float>::zeros(41, 41);
   ata_shared_on(pool, 1.0f, a.const_view(), c_pool.view(), so);
   auto c_global = Matrix<float>::zeros(41, 41);

@@ -52,6 +52,7 @@ SharedOptions shared_opts(int threads, int oversub) {
   so.threads = threads;
   so.oversub = oversub;
   so.recurse = tiny_base();
+  so.engine = LeafEngine::kStrassen;
   return so;
 }
 
@@ -426,7 +427,8 @@ TEST(ServerOverload, DeadlineSettlesOnlyAfterRunningStripeExits) {
   sopts.threads = 3;  // 3 slots = 2 workers: one runs a stripe, one is held
   api::Server server(sopts);
   const auto a = random_uniform<double>(4096, 512, 24);
-  const auto opts = shared_opts(2, 1);  // two stripes
+  auto opts = shared_opts(2, 1);  // two stripes
+  opts.engine = LeafEngine::kBlas;  // a tiny-base recursion this tall takes seconds
   Clock::duration full = Clock::duration::max();
   for (int rep = 0; rep < 3; ++rep) {
     // Warm the plan and workspaces; time the whole request, both stripes

@@ -3,8 +3,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "api/execute.hpp"
@@ -243,15 +244,7 @@ TEST(Strassen, WarmStrassenLeavesAllocateNothing) {
 
 // ---- Tuner --------------------------------------------------------------
 
-bool scalar_env_forced() {
-  const char* v = std::getenv("ATALIB_FORCE_SCALAR_KERNELS");
-  return v != nullptr && *v != '\0' && std::string(v) != "0";
-}
-
 TEST(StrassenTuner, SeededCacheFileIsDeterministicAndFeedsPlanKey) {
-  if (scalar_env_forced()) {
-    GTEST_SKIP() << "tuner is bypassed under ATALIB_FORCE_SCALAR_KERNELS";
-  }
   const std::string path = testing::TempDir() + "atalib_tuning_seeded.txt";
   const char* isa = kn::isa_name(kn::active_config<double>().isa);
   {
@@ -261,12 +254,13 @@ TEST(StrassenTuner, SeededCacheFileIsDeterministicAndFeedsPlanKey) {
   strassen::Tuner t1(path), t2(path);
   EXPECT_EQ(t1.base_case_elements(sizeof(double)), 7777);
   EXPECT_EQ(t1.base_case_elements(sizeof(float)), 5555);
-  // Same cache file -> same cut-off, no re-measurement drift.
+  // Same cache file -> same cut-off.
   EXPECT_EQ(t2.base_case_elements(sizeof(double)), t1.base_case_elements(sizeof(double)));
-  // The resolved cut-off is what plan keys carry, so equal tuning gives
-  // equal keys (and distinct explicit cut-offs give distinct keys).
+  // The resolved cut-off is what Strassen plan keys carry, so equal tuning
+  // gives equal keys.
   SharedOptions so;
   so.threads = 2;
+  so.engine = LeafEngine::kStrassen;
   so.recurse.base_case_elements = t1.base_case_elements(sizeof(double));
   const auto k1 = api::shared_plan_key(api::dtype_of<double>(), 64, 48, so);
   const auto k2 = api::shared_plan_key(api::dtype_of<double>(), 64, 48, so);
@@ -275,81 +269,63 @@ TEST(StrassenTuner, SeededCacheFileIsDeterministicAndFeedsPlanKey) {
   std::remove(path.c_str());
 }
 
-TEST(StrassenTuner, MemoKeepsEachTiersOwnValuesAcrossForcedIsaToggles) {
-  if (scalar_env_forced()) {
-    GTEST_SKIP() << "tuner is bypassed under ATALIB_FORCE_SCALAR_KERNELS";
-  }
+std::string read_all(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
+}
+
+TEST(StrassenTuner, EachTiersCacheEntriesWinAcrossForcedIsaToggles) {
   const kn::Isa native = kn::active_config<double>().isa;
   if (native == kn::Isa::kScalar) {
     GTEST_SKIP() << "only the scalar kernel is available on this CPU";
   }
   const std::string path = testing::TempDir() + "atalib_tuning_tiers.txt";
   const std::string isa = kn::isa_name(native);
-  const auto write = [&](int scale) {
+  {
     std::ofstream f(path, std::ios::trunc);
-    f << isa << " f64 " << 7777 * scale << '\n' << isa << " f32 " << 5555 * scale << '\n'
-      << isa << " f64-ts " << 3 * scale << '\n' << isa << " f32-ts " << 5 * scale << '\n'
-      << "scalar f64 " << 3333 * scale << "\nscalar f32 " << 2222 * scale << '\n'
-      << "scalar f64-ts " << 6 * scale << "\nscalar f32-ts " << 7 * scale << '\n';
-  };
-  write(1);
-  strassen::Tuner tuner(path);
+    f << isa << " f64 7777\n" << isa << " f32 5555\n" << isa << " f64-ts 3\n"
+      << isa << " f32-ts 5\n"
+      << "scalar f64 3333\nscalar f32 2222\nscalar f64-ts 6\nscalar f32-ts 7\n";
+  }
+  const std::string before = read_all(path);
+  const strassen::Tuner tuner(path);
   for (int round = 0; round < 2; ++round) {
     EXPECT_EQ(tuner.base_case_elements(sizeof(double)), 7777) << "round " << round;
     EXPECT_EQ(tuner.base_case_elements(sizeof(float)), 5555) << "round " << round;
     EXPECT_EQ(tuner.tall_skinny_ratio(sizeof(double)), 3) << "round " << round;
     EXPECT_EQ(tuner.tall_skinny_ratio(sizeof(float)), 5) << "round " << round;
-    {
-      ForcedIsa scalar(kn::Isa::kScalar);
-      EXPECT_EQ(tuner.base_case_elements(sizeof(double)), 3333) << "round " << round;
-      EXPECT_EQ(tuner.base_case_elements(sizeof(float)), 2222) << "round " << round;
-      EXPECT_EQ(tuner.tall_skinny_ratio(sizeof(double)), 6) << "round " << round;
-      EXPECT_EQ(tuner.tall_skinny_ratio(sizeof(float)), 7) << "round " << round;
-    }
-    // Round two must be served from the memo, not the (now different) file.
-    write(2);
-  }
-  // A Tuner built on the rewritten file returns the file's values.
-  strassen::Tuner fresh(path);
-  EXPECT_EQ(fresh.base_case_elements(sizeof(double)), 2 * 7777);
-  EXPECT_EQ(fresh.tall_skinny_ratio(sizeof(float)), 2 * 5);
-  {
     ForcedIsa scalar(kn::Isa::kScalar);
-    EXPECT_EQ(fresh.base_case_elements(sizeof(float)), 2 * 2222);
-    EXPECT_EQ(fresh.tall_skinny_ratio(sizeof(double)), 2 * 6);
+    EXPECT_EQ(tuner.base_case_elements(sizeof(double)), 3333) << "round " << round;
+    EXPECT_EQ(tuner.base_case_elements(sizeof(float)), 2222) << "round " << round;
+    EXPECT_EQ(tuner.tall_skinny_ratio(sizeof(double)), 6) << "round " << round;
+    EXPECT_EQ(tuner.tall_skinny_ratio(sizeof(float)), 7) << "round " << round;
   }
+  // The cache is read-only.
+  EXPECT_EQ(read_all(path), before);
   std::remove(path.c_str());
 }
 
-TEST(StrassenTuner, ForcedScalarEnvIgnoresTunerAndCacheFile) {
-  if (!scalar_env_forced()) {
-    GTEST_SKIP() << "set ATALIB_FORCE_SCALAR_KERNELS to exercise the bypass";
-  }
-  // The forced-scalar CI leg must be machine-independent: even a seeded
-  // cache file is ignored and the static cache probe wins.
-  const std::string path = testing::TempDir() + "atalib_tuning_ignored.txt";
-  {
-    std::ofstream f(path, std::ios::trunc);
-    f << "scalar f64 7777\nscalar f32 5555\n";
-  }
-  strassen::Tuner tuner(path);
+TEST(StrassenTuner, WithoutCacheFileReturnsProbeAndRatioTwo) {
+  const strassen::Tuner tuner("");
   EXPECT_EQ(tuner.base_case_elements(sizeof(double)),
             static_cast<index_t>(default_base_case_elements(sizeof(double))));
   EXPECT_EQ(tuner.base_case_elements(sizeof(float)),
             static_cast<index_t>(default_base_case_elements(sizeof(float))));
-  std::remove(path.c_str());
+  EXPECT_EQ(tuner.tall_skinny_ratio(sizeof(double)), 2);
+  EXPECT_EQ(tuner.tall_skinny_ratio(sizeof(float)), 2);
 }
 
 TEST(StrassenTuner, ResolvedCutoffLandsInPlanKey) {
   // Explicit cut-offs pass through resolution untouched; 0 resolves to a
-  // positive tuned value, so cached plans can never carry the "auto" marker.
+  // positive value, so cached Strassen plans never carry the "auto" marker.
   SharedOptions so;
   so.threads = 2;
+  so.engine = LeafEngine::kStrassen;
   so.recurse.base_case_elements = 4096;
   const auto k = api::shared_plan_key(api::dtype_of<double>(), 64, 48, so);
   EXPECT_EQ(k.base_case_elements, 4096);
-  RecurseOptions auto_opts;
-  EXPECT_GT(auto_opts.resolved_base_elements(sizeof(double)), 0);
+  so.recurse.base_case_elements = 0;
+  EXPECT_GT(api::shared_plan_key(api::dtype_of<double>(), 64, 48, so).base_case_elements, 0);
 }
 
 }  // namespace

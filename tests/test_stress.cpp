@@ -50,7 +50,7 @@ SharedOptions stress_opts() {
   so.threads = 2;
   so.oversub = 2;
   so.recurse = tiny_base();
-  so.tall_skinny_ratio = -1;  // keep the measured tuner out of stress runs
+  so.engine = LeafEngine::kStrassen;
   return so;
 }
 

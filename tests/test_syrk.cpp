@@ -53,7 +53,7 @@ INSTANTIATE_TEST_SUITE_P(ShapeSweep, SyrkShapes,
                          ::testing::Values(Shape{1, 1}, Shape{3, 2}, Shape{8, 8}, Shape{5, 17},
                                            Shape{33, 31}, Shape{64, 64}, Shape{7, 129},
                                            Shape{200, 3}, Shape{128, 130}, Shape{257, 127},
-                                           // Tall-skinny: the planner's kBlas engine.
+                                           // Tall-skinny shapes.
                                            Shape{7, 3}, Shape{256, 8}, Shape{300, 17},
                                            Shape{513, 31}, Shape{1000, 5}, Shape{1030, 64},
                                            Shape{2048, 24}));

@@ -19,8 +19,10 @@
 //                 slab allocations, ZERO thread-local pack allocations and
 //                 ZERO plan-cache misses (hard-checked; nonzero exit).
 //   tall_skinny — one m >> n shape served by the forced kBlas plan vs
-//                 the forced recursive plan, plus default options ("auto",
-//                 the kBlas engine).
+//                 the forced recursive (kStrassen) plan. The shape never
+//                 shrinks below 16384 x 64, so the recursive plan's largest
+//                 leaf is over the Strassen cut-off and really recurses;
+//                 each row records whether it does (largest_leaf_recurses).
 //
 // A final phase exercises PR 10's overload control (DESIGN.md §10):
 //   overload — clients = 4x the pool slots against a bounded-admission
@@ -30,6 +32,7 @@
 //              Server::stats(). The warm stream under saturation must
 //              still be setup-free (hard-checked; nonzero exit).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -47,6 +50,7 @@
 #include "matrix/matrix.hpp"
 #include "sched/dist_tree.hpp"
 #include "sched/shared_schedule.hpp"
+#include "strassen/workspace.hpp"
 
 namespace {
 
@@ -64,6 +68,26 @@ std::size_t pool_slab_grows(runtime::ThreadPool& pool) {
   std::size_t total = 0;
   for (int s = 0; s < pool.concurrency(); ++s) total += pool.workspace(s).grow_count();
   return total;
+}
+
+/// True if the plan's largest leaf (by flops) recurses instead of handing
+/// its whole block to one base-case kernel: a kStrassen leaf over the key's
+/// cut-off (Algorithms 1 and 2, line 2). kBlas leaves never recurse.
+bool largest_leaf_recurses(const api::AtaPlan& plan) {
+  const api::PlanKey& key = plan.key();
+  if (key.engine != LeafEngine::kStrassen) return false;
+  const sched::LeafOp* largest = nullptr;
+  for (const auto& task : plan.schedule().tasks) {
+    for (const auto& op : task.ops) {
+      if (largest == nullptr || op.flops() > largest->flops()) largest = &op;
+    }
+  }
+  if (largest == nullptr) return false;
+  const sched::Block& a = largest->a;
+  return largest->kind == sched::LeafOp::Kind::kSyrk
+             ? !ata_base_case(a.rows, a.cols, key.base_case_elements, key.min_dim)
+             : !gemm_base_case(a.rows, a.cols, largest->b.cols, key.base_case_elements,
+                               key.min_dim);
 }
 
 /// One batched-serving configuration: stream `nreq` requests of one shape
@@ -354,16 +378,19 @@ int main(int argc, char** argv) {
   }
 
   // --- Phase 5: tall-skinny shape — forced kBlas vs forced recursive on
-  // one m >> n shape, plus what default options ("auto") serve it with.
+  // one m >> n shape. Scaled up but never down: at 4096 x 16 every leaf of
+  // the recursive plan is under the cut-off, and the A/B would time two
+  // plans that both run base-case kernels only.
   {
-    const Shape ts{bench::scaled(16384, scale), bench::scaled(64, scale)};
+    const double ts_scale = std::max(scale, 1.0);
+    const Shape ts{bench::scaled(16384, ts_scale), bench::scaled(64, ts_scale)};
     const auto a = random_uniform<double>(ts.m, ts.n, 7);
     auto c = Matrix<double>::zeros(ts.n, ts.n);
     const int reps = std::max(3, requests / 4);
 
     Table ttable("Tall-skinny shape, m=" + std::to_string(ts.m) + " n=" +
                  std::to_string(ts.n) + " f64");
-    ttable.set_header({"plan", "engine", "reps", "req/s", "mean ms/req"});
+    ttable.set_header({"plan", "engine", "leaf recurses", "reps", "req/s", "mean ms/req"});
 
     struct TimedPlan {
       const char* label;
@@ -373,7 +400,7 @@ int main(int argc, char** argv) {
     SharedOptions blas = sopts, recursive = sopts;
     blas.engine = LeafEngine::kBlas;
     recursive.engine = LeafEngine::kStrassen;
-    TimedPlan plans[] = {{"forced_blas", blas}, {"forced_recursive", recursive}, {"auto", sopts}};
+    TimedPlan plans[] = {{"forced_blas", blas}, {"forced_recursive", recursive}};
     api::Server tserver(api::Server::Options{threads, 16});
     for (const TimedPlan& p : plans) tserver.submit(1.0, a.const_view(), c.view(), p.opts).get();
     // Rounds interleave the plans, so drift in the host's speed hits each
@@ -391,12 +418,14 @@ int main(int argc, char** argv) {
     for (const TimedPlan& p : plans) {
       const auto key = api::shared_plan_key(api::dtype_of<double>(), ts.m, ts.n, p.opts);
       const char* engine = key.engine == LeafEngine::kBlas ? "blas" : "strassen";
-      ttable.add_row({p.label, engine, std::to_string(reps), Table::num(reps / p.secs, 1),
-                      Table::num(p.secs / reps * 1e3, 3)});
+      const bool recurses = largest_leaf_recurses(*tserver.plans().get_or_build(key));
+      ttable.add_row({p.label, engine, recurses ? "yes" : "no", std::to_string(reps),
+                      Table::num(reps / p.secs, 1), Table::num(p.secs / reps * 1e3, 3)});
       bench::JsonWriter::Record rec;
       rec.str("phase", "tall_skinny")
           .str("plan", p.label)
           .str("engine", engine)
+          .num("largest_leaf_recurses", recurses ? 1 : 0)
           .num("m", static_cast<std::uint64_t>(ts.m))
           .num("n", static_cast<std::uint64_t>(ts.n))
           .num("reps", reps)

@@ -151,7 +151,9 @@ void check_shared(const AtaPlan& plan, ConstMatrixView<T> a, MatrixView<T> c) {
 
 void warm_for(const AtaPlan& plan, runtime::ThreadPool& pool) {
   const std::size_t bound = plan.workspace_bound();
-  if (bound == 0) return;  // the BLAS engine is allocation-free
+  // Only an empty shape has a 0 bound: every other plan, kBlas included,
+  // carries its leaves' pack-panel (or Strassen scratch) high-water mark.
+  if (bound == 0) return;
   if (plan.key().dtype == Dtype::kF32) {
     pool.warm_workspaces(bound, 0);
   } else {

@@ -2,96 +2,61 @@
 
 #include <algorithm>
 #include <optional>
-#include <utility>
 
 namespace atalib::api {
 
-PlanCache::PlanCache(std::size_t capacity, std::size_t shards)
-    : capacity_(std::max<std::size_t>(1, capacity)) {
-  const std::size_t n =
-      std::clamp<std::size_t>(shards, 1, capacity_);
-  shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
-}
+PlanCache::PlanCache(std::size_t capacity) : capacity_(std::max<std::size_t>(1, capacity)) {}
 
 PlanCache& PlanCache::global() {
   static PlanCache cache;
   return cache;
 }
 
-std::size_t PlanCache::shard_of(const PlanKey& key) const {
-  return PlanKeyHash{}(key) % shards_.size();
-}
-
 std::shared_ptr<const AtaPlan> PlanCache::get_or_build(const PlanKey& key) {
-  Shard& sh = *shards_[shard_of(key)];
   Future fut;
   // Deferred: the hot hit path must not pay the promise's shared-state
   // allocation — it is only materialized on a miss.
   std::optional<std::promise<std::shared_ptr<const AtaPlan>>> prom;
-  std::uint64_t my_id = 0;
   {
-    MutexLock lk(sh.mu);
-    auto it = sh.map.find(key);
-    if (it != sh.map.end()) {
-      sh.hits.fetch_add(1, std::memory_order_relaxed);
-      sh.lru.splice(sh.lru.begin(), sh.lru, it->second.lru_it);  // promote to MRU
+    MutexLock lk(mu_);
+    auto it = map_.find(key);
+    if (it != map_.end()) {
+      ++hits_;
+      lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // promote to MRU
       fut = it->second.plan;
     } else {
-      sh.misses.fetch_add(1, std::memory_order_relaxed);
-      my_id = ++sh.next_id;
+      ++misses_;
       prom.emplace();
       fut = prom->get_future().share();
-      sh.lru.push_front(key);
-      sh.map.emplace(key, Entry{fut, sh.lru.begin(), my_id});
-      size_.fetch_add(1, std::memory_order_relaxed);
-      // Enforce the GLOBAL budget by evicting from this shard's cold end.
-      // Only the inserting shard evicts (its lock is already held), so a
-      // hash-imbalanced shard sheds its own tail while a working set that
-      // fits the capacity never evicts at all.
-      while (size_.load(std::memory_order_relaxed) > capacity_) {
-        // Evict the coldest entry whose build has completed. An in-flight
-        // entry must survive — dropping it would let a concurrent request
-        // for the same key start a duplicate build, breaking the
-        // build-exactly-once guarantee. The budget may therefore be
-        // exceeded transiently, by at most the number of concurrent cold
-        // builds; the next miss retries the eviction.
-        if (sh.lru.empty()) break;  // nothing evictable in this shard
-        auto victim = sh.lru.end();
-        for (auto lit = std::prev(sh.lru.end());; --lit) {
-          if (sh.map.find(*lit)->second.ready) {
-            victim = lit;
-            break;
-          }
-          if (lit == sh.lru.begin()) break;
-        }
-        if (victim == sh.lru.end()) break;  // every entry still building
-        sh.map.erase(*victim);
-        sh.lru.erase(victim);
-        size_.fetch_sub(1, std::memory_order_relaxed);
-        sh.evictions.fetch_add(1, std::memory_order_relaxed);
+      lru_.push_front(key);
+      map_.emplace(key, Entry{fut, lru_.begin()});
+      // Evict the coldest ready entries down to the capacity. An in-flight
+      // entry must survive — dropping it would let a concurrent request for
+      // the same key start a duplicate build — so the scan skips entries
+      // still building and stops when only those remain over the capacity.
+      for (auto lit = lru_.end(); map_.size() > capacity_ && lit != lru_.begin();) {
+        auto victim = map_.find(*--lit);
+        if (!victim->second.ready) continue;
+        map_.erase(victim);
+        lit = lru_.erase(lit);
+        ++evictions_;
       }
     }
   }
   if (prom) {
+    // Only this builder removes its entry while it is in flight (eviction
+    // skips it), so the key still maps to it when the build finishes.
     try {
       prom->set_value(AtaPlan::build(key));
-      // Mark the entry evictable (unless eviction already dropped it or a
-      // later build re-inserted the key).
-      MutexLock lk(sh.mu);
-      auto it = sh.map.find(key);
-      if (it != sh.map.end() && it->second.id == my_id) it->second.ready = true;
+      MutexLock lk(mu_);
+      map_.find(key)->second.ready = true;  // now evictable
     } catch (...) {
       {
-        // Forget the failed entry (unless eviction already dropped it or a
-        // later build re-inserted the key) so the next request retries.
-        MutexLock lk(sh.mu);
-        auto it = sh.map.find(key);
-        if (it != sh.map.end() && it->second.id == my_id) {
-          sh.lru.erase(it->second.lru_it);
-          sh.map.erase(it);
-          size_.fetch_sub(1, std::memory_order_relaxed);
-        }
+        // Forget the failed entry so the next request retries.
+        MutexLock lk(mu_);
+        auto it = map_.find(key);
+        lru_.erase(it->second.lru_it);
+        map_.erase(it);
       }
       prom->set_exception(std::current_exception());
     }
@@ -100,34 +65,13 @@ std::shared_ptr<const AtaPlan> PlanCache::get_or_build(const PlanKey& key) {
 }
 
 bool PlanCache::contains(const PlanKey& key) const {
-  const Shard& sh = *shards_[shard_of(key)];
-  MutexLock lk(sh.mu);
-  return sh.map.find(key) != sh.map.end();
+  MutexLock lk(mu_);
+  return map_.find(key) != map_.end();
 }
 
 PlanCacheStats PlanCache::stats() const {
-  PlanCacheStats s;
-  s.capacity = capacity_;
-  s.shards = shards_.size();
-  for (const auto& shard : shards_) {
-    // Relaxed reads of monotonic counters: the totals can lag a racing
-    // writer but never decrease across consecutive snapshots.
-    s.hits += shard->hits.load(std::memory_order_relaxed);
-    s.misses += shard->misses.load(std::memory_order_relaxed);
-    s.evictions += shard->evictions.load(std::memory_order_relaxed);
-    MutexLock lk(shard->mu);
-    s.size += shard->map.size();
-  }
-  return s;
-}
-
-void PlanCache::clear() {
-  for (const auto& shard : shards_) {
-    MutexLock lk(shard->mu);
-    size_.fetch_sub(shard->map.size(), std::memory_order_relaxed);
-    shard->map.clear();
-    shard->lru.clear();
-  }
+  MutexLock lk(mu_);
+  return PlanCacheStats{hits_, misses_, evictions_, map_.size(), capacity_};
 }
 
 }  // namespace atalib::api

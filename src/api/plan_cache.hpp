@@ -1,6 +1,6 @@
 #pragma once
-// Thread-safe sharded LRU cache of AtaPlans — the handle-style amortization
-// that turns repeated traffic malloc- and replanning-free.
+// Thread-safe LRU cache of AtaPlans — the handle-style amortization that
+// turns repeated traffic malloc- and replanning-free.
 //
 // get_or_build() returns the cached plan on a hit (promoting it to
 // most-recently-used) and builds it exactly once on a miss, even when many
@@ -10,31 +10,16 @@
 // count; a plan evicted while executions still hold its shared_ptr stays
 // alive until they drop it (plans are immutable, so this is safe).
 //
-// The cache is split into N independent shards, each its own LRU + mutex,
-// with keys routed by PlanKeyHash — so a slow cold build (or just heavy
-// concurrent miss traffic) convoys only the 1/N of the key space that
-// shares its shard, never the whole serving front-end (DESIGN.md §10).
-// Capacity is a GLOBAL budget tracked by an atomic entry count, not a
-// per-shard split: as long as the distinct working set fits the capacity,
-// no hash imbalance can force an eviction (a per-shard split would thrash
-// colliding keys even under capacity). When the budget is exceeded, the
-// inserting shard evicts from its own LRU tail. Build-once and LRU order
-// hold *per shard*; a single-shard cache (shards = 1) reproduces the
-// historical global-LRU behavior exactly, which is what the LRU-order
-// tests pin.
-//
-// Counters (hits/misses/evictions) are per-shard relaxed atomics, written
-// under the shard lock but read lock-free: a stats() snapshot is not an
-// atomic cut across shards, but every counter is monotonic, so aggregate
-// hits + misses never decreases between consecutive reads.
+// One mutex guards one LRU list, one map and the counters. It only ever
+// covers a hash find plus a list splice (hit) or insert plus eviction scan
+// (miss) — never a build — so a single lock serves the front-end's traffic
+// (DESIGN.md §10), and stats() is a consistent snapshot.
 
-#include <atomic>
 #include <cstdint>
 #include <future>
 #include <list>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "api/plan.hpp"
 #include "common/thread_annotations.hpp"
@@ -47,44 +32,32 @@ struct PlanCacheStats {
   std::uint64_t evictions = 0;  ///< entries dropped by the LRU capacity bound
   std::size_t size = 0;
   std::size_t capacity = 0;
-  std::size_t shards = 0;  ///< independent LRU+mutex shards
 };
 
 class PlanCache {
  public:
   static constexpr std::size_t kDefaultCapacity = 64;
-  static constexpr std::size_t kDefaultShards = 8;
 
-  /// `capacity` is the maximum number of cached plans across ALL shards
-  /// (>= 1; 0 is clamped) — a global budget, not a per-shard split, so a
-  /// working set that fits the capacity never evicts regardless of how the
-  /// keys hash. `shards` is clamped to [1, capacity]. Concurrent cold
-  /// builds may transiently overshoot the budget by at most one entry per
-  /// in-flight build; the overshoot is reclaimed on the next miss.
-  explicit PlanCache(std::size_t capacity = kDefaultCapacity,
-                     std::size_t shards = kDefaultShards);
+  /// `capacity` is the maximum number of cached plans (>= 1; 0 is clamped).
+  /// An entry still building is never evicted, so concurrent cold builds
+  /// may transiently overshoot it by at most one entry per in-flight build;
+  /// the overshoot is reclaimed on the next miss.
+  explicit PlanCache(std::size_t capacity = kDefaultCapacity);
 
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// The plan for `key`: cached (hit) or built exactly once per shard
-  /// (miss; builds run outside the shard lock, concurrent requesters for
-  /// the same key wait on the builder). Rethrows the build error to every
-  /// waiter and forgets the entry, so a later request retries.
+  /// The plan for `key`: cached (hit) or built exactly once (miss; builds
+  /// run outside the lock, concurrent requesters for the same key wait on
+  /// the builder). Rethrows the build error to every waiter and forgets the
+  /// entry, so a later request retries.
   std::shared_ptr<const AtaPlan> get_or_build(const PlanKey& key);
 
   /// True if `key` is resident right now. Does not touch LRU order.
   bool contains(const PlanKey& key) const;
 
+  /// A consistent snapshot, taken under the cache lock.
   PlanCacheStats stats() const;
-
-  /// Drop every entry (stats counters keep accumulating; in-flight
-  /// executions keep their plans alive via shared_ptr).
-  void clear();
-
-  /// Shard index `key` routes to (PlanKeyHash modulo the shard count).
-  /// Exposed so tests can construct per-shard collision workloads.
-  std::size_t shard_of(const PlanKey& key) const;
 
   /// The process-wide cache used by the ata_shared / ata_dist wrappers.
   static PlanCache& global();
@@ -96,36 +69,19 @@ class PlanCache {
   struct Entry {
     Future plan;
     Lru::iterator lru_it;
-    std::uint64_t id = 0;  ///< distinguishes re-inserted keys on build completion
-    /// Set (under the shard lock) once the build published its value; lets
-    /// the eviction scan test eligibility with a plain bool instead of a
-    /// future-state probe per entry while holding the lock.
+    /// Set once the build published its value; lets the eviction scan test
+    /// eligibility with a plain bool instead of a future-state probe per
+    /// entry while holding the lock.
     bool ready = false;
   };
 
-  /// One shard: an independent LRU cache. The lock covers the LRU list,
-  /// the map, and next_id: every mutation touches at least two of them and
-  /// must be atomic as a group (splice + map update, insert + eviction
-  /// scan). The stats counters are written under the lock too (so each
-  /// increment pairs with the mutation it counts) but are atomics so
-  /// stats() can read them without taking every shard lock.
-  struct Shard {
-    mutable Mutex mu;
-    Lru lru ATALIB_GUARDED_BY(mu);
-    std::unordered_map<PlanKey, Entry, PlanKeyHash> map ATALIB_GUARDED_BY(mu);
-    std::uint64_t next_id ATALIB_GUARDED_BY(mu) = 0;
-    std::atomic<std::uint64_t> hits{0};       // monotonic
-    std::atomic<std::uint64_t> misses{0};     // monotonic
-    std::atomic<std::uint64_t> evictions{0};  // monotonic
-  };
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::size_t capacity_;  ///< global entry budget; immutable
-  /// Total resident entries across shards. Incremented/decremented under
-  /// the owning shard's lock; read with relaxed loads by the eviction
-  /// check in other shards (an approximate read only risks a one-entry
-  /// transient overshoot, never a lost entry).
-  std::atomic<std::size_t> size_{0};
+  const std::size_t capacity_;
+  mutable Mutex mu_;
+  Lru lru_ ATALIB_GUARDED_BY(mu_);
+  std::unordered_map<PlanKey, Entry, PlanKeyHash> map_ ATALIB_GUARDED_BY(mu_);
+  std::uint64_t hits_ ATALIB_GUARDED_BY(mu_) = 0;
+  std::uint64_t misses_ ATALIB_GUARDED_BY(mu_) = 0;
+  std::uint64_t evictions_ ATALIB_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace atalib::api

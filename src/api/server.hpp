@@ -2,7 +2,7 @@
 // Concurrent serving front-end: the cached-plan request path, hardened for
 // overload (DESIGN.md §10).
 //
-// A Server owns a sharded plan cache and a multi-batch ThreadPool. submit()
+// A Server owns an LRU plan cache and a multi-batch ThreadPool. submit()
 // admits one lower(C) += alpha * A^T A request: pass the admission gate,
 // build-or-fetch the plan, warm the pool to the plan's workspace bound, and
 // enqueue the plan's tasks as one pool batch — then return a future. On the

@@ -65,10 +65,7 @@ std::size_t pool_slab_grows(runtime::ThreadPool& pool) {
 // ---- PlanCache --------------------------------------------------------
 
 TEST(PlanCache, HitMissEvictionOrderAndStats) {
-  // One shard: this test pins the strict *global* LRU order, which only a
-  // single-shard cache guarantees (the default sharded cache is LRU per
-  // shard; see PlanCache.ShardedBuildOnceUnderConcurrentMisses).
-  api::PlanCache cache(2, 1);
+  api::PlanCache cache(2);
   const auto ka = key_for(48, 40, 2, 1);
   const auto kb = key_for(56, 44, 2, 1);
   const auto kc = key_for(64, 48, 2, 1);
@@ -100,7 +97,7 @@ TEST(PlanCache, HitMissEvictionOrderAndStats) {
 }
 
 TEST(PlanCache, PlansAreImmutableSharedHandles) {
-  api::PlanCache cache(4);
+  api::PlanCache cache(1);
   const auto key = key_for(60, 52, 3, 2);
   const auto plan = cache.get_or_build(key);
   ASSERT_NE(plan, nullptr);
@@ -108,33 +105,99 @@ TEST(PlanCache, PlansAreImmutableSharedHandles) {
   EXPECT_EQ(static_cast<int>(plan->schedule().tasks.size()), 3 * 2);
   EXPECT_GT(plan->workspace_bound(), 0u);  // Strassen engine needs scratch
   // An evicted plan stays alive through the shared_ptr.
-  cache.clear();
+  cache.get_or_build(key_for(68, 52, 3, 2));  // capacity 1: evicts `key`
   EXPECT_FALSE(cache.contains(key));
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(plan->key(), key);
   EXPECT_EQ(static_cast<int>(plan->schedule().tasks.size()), 3 * 2);
 }
 
-TEST(PlanCache, ConcurrentGetOrBuildBuildsEachPlanExactlyOnce) {
-  api::PlanCache cache(8);
-  const auto key = key_for(96, 80, 4, 2);
-  const std::uint64_t builds_before = sched::shared_schedule_builds();
-
-  constexpr int kThreads = 8;
-  std::vector<std::shared_ptr<const api::AtaPlan>> got(kThreads);
+/// `threads` clients, released together, each request every key `reps`
+/// times, so the first round's cold misses race on every key. Returns the
+/// plan each thread got per key in its first round.
+std::vector<std::vector<const api::AtaPlan*>> hammer(api::PlanCache& cache,
+                                                     const std::vector<api::PlanKey>& keys,
+                                                     int threads, int reps) {
+  std::vector<std::vector<const api::AtaPlan*>> seen(
+      static_cast<std::size_t>(threads), std::vector<const api::AtaPlan*>(keys.size()));
+  std::atomic<int> ready{0};
   std::vector<std::thread> clients;
-  clients.reserve(kThreads);
-  for (int i = 0; i < kThreads; ++i) {
-    clients.emplace_back([&, i] { got[static_cast<std::size_t>(i)] = cache.get_or_build(key); });
+  clients.reserve(static_cast<std::size_t>(threads));
+  for (int i = 0; i < threads; ++i) {
+    clients.emplace_back([&, i] {
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (ready.load(std::memory_order_acquire) < threads) std::this_thread::yield();
+      for (int rep = 0; rep < reps; ++rep) {
+        for (std::size_t k = 0; k < keys.size(); ++k) {
+          const auto plan = cache.get_or_build(keys[k]);
+          if (rep == 0) seen[static_cast<std::size_t>(i)][k] = plan.get();
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  return seen;
+}
+
+TEST(PlanCache, ConcurrentGetOrBuildBuildsEachPlanExactlyOnce) {
+  struct Input {
+    std::size_t capacity;
+    std::vector<api::PlanKey> keys;
+    int threads;
+    int reps;
+  };
+  std::vector<api::PlanKey> many;
+  for (index_t m = 40; many.size() < 12; m += 8) many.push_back(key_for(m, m - 8, 2, 1));
+  // One hot cold key; then 12 keys whose cold misses all race at once.
+  const Input inputs[] = {{8, {key_for(96, 80, 4, 2)}, 8, 1}, {32, many, 8, 4}};
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(::testing::Message() << in.keys.size() << " keys");
+    api::PlanCache cache(in.capacity);
+    const std::uint64_t builds_before = sched::shared_schedule_builds();
+    const auto seen = hammer(cache, in.keys, in.threads, in.reps);
+
+    EXPECT_EQ(sched::shared_schedule_builds() - builds_before, in.keys.size())
+        << "concurrent cold requests for one key must build the plan exactly once";
+    const auto s = cache.stats();
+    EXPECT_EQ(s.misses, in.keys.size()) << "every key must build exactly once";
+    EXPECT_EQ(s.hits + s.misses,
+              static_cast<std::uint64_t>(in.threads) * in.reps * in.keys.size());
+    EXPECT_EQ(s.size, in.keys.size());
+    EXPECT_EQ(s.evictions, 0u) << "the working set fits the capacity";
+    for (int i = 1; i < in.threads; ++i) {
+      EXPECT_EQ(seen[static_cast<std::size_t>(i)], seen[0])
+          << "concurrent requesters must share one built plan per key";
+    }
+  }
+}
+
+TEST(PlanCache, OvershootFromInFlightBuildsIsReclaimedOnNextMiss) {
+  // 8 concurrent cold misses at capacity 2: entries still building are
+  // never evicted, so the cache overshoots while they race. 4096-task plans
+  // take milliseconds to build, so the overshoot nearly always outlives
+  // the join. Once all are built, the next miss must evict back down to
+  // exactly the capacity, keeping its own in-flight entry.
+  api::PlanCache cache(2);
+  std::vector<api::PlanKey> keys;
+  for (index_t m = 8192; keys.size() < 8; m += 8) keys.push_back(key_for(m, 4096, 512, 8));
+  std::atomic<int> ready{0};
+  std::vector<std::thread> clients;
+  for (const auto& key : keys) {
+    clients.emplace_back([&, key] {
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (ready.load(std::memory_order_acquire) < 8) std::this_thread::yield();
+      EXPECT_NE(cache.get_or_build(key), nullptr);
+    });
   }
   for (auto& t : clients) t.join();
 
-  EXPECT_EQ(sched::shared_schedule_builds() - builds_before, 1u)
-      << "concurrent cold requests for one key must build the plan exactly once";
-  for (int i = 1; i < kThreads; ++i) {
-    EXPECT_EQ(got[static_cast<std::size_t>(i)].get(), got[0].get());
-  }
+  const auto last = key_for(40, 32, 2, 1);
+  cache.get_or_build(last);
   const auto s = cache.stats();
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.hits, static_cast<std::uint64_t>(kThreads - 1));
+  EXPECT_EQ(s.size, 2u) << "the overshoot must be reclaimed on the next miss";
+  EXPECT_EQ(s.misses, 9u);
+  EXPECT_EQ(s.evictions, 7u);
+  EXPECT_TRUE(cache.contains(last));
 }
 
 // ---- Warm-path acceptance: zero builds, zero slab allocations ----------

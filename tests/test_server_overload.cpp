@@ -1,8 +1,7 @@
 // Tests for the overload-hardened serving path (DESIGN.md §10): bounded
 // admission (block/reject/shed-oldest), deadlines and priorities, the
-// Server destructor contract under load, the sharded plan cache's
-// build-once guarantee, the ATALIB_FAULTS parser, and the lock-free
-// latency histograms behind Server::stats().
+// Server destructor contract under load, the ATALIB_FAULTS parser, and the
+// lock-free latency histograms behind Server::stats().
 //
 // The fault-injection hooks compile to no-ops unless the build sets
 // -DATALIB_FAULT_INJECTION=ON; tests that need an unhealthy server set
@@ -23,7 +22,6 @@
 #include <vector>
 
 #include "api/errors.hpp"
-#include "api/plan_cache.hpp"
 #include "api/server.hpp"
 #include "ata/ata.hpp"
 #include "common/fault.hpp"
@@ -54,10 +52,6 @@ SharedOptions shared_opts(int threads, int oversub) {
   so.recurse = tiny_base();
   so.engine = LeafEngine::kStrassen;
   return so;
-}
-
-api::PlanKey key_for(index_t m, index_t n, int threads, int oversub) {
-  return api::shared_plan_key(api::dtype_of<double>(), m, n, shared_opts(threads, oversub));
 }
 
 std::uint64_t total_schedule_builds() {
@@ -148,58 +142,6 @@ TEST(PoolPriority, HigherClassDrainsFirstFifoWithinClass) {
   for (int t = 1; t < kPerBatch; ++t) {
     EXPECT_LT(high_at[static_cast<std::size_t>(t - 1)], high_at[static_cast<std::size_t>(t)]);
     EXPECT_LT(low_at[static_cast<std::size_t>(t - 1)], low_at[static_cast<std::size_t>(t)]);
-  }
-}
-
-// ---- Sharded PlanCache ------------------------------------------------
-
-TEST(PlanCache, ShardedBuildOnceUnderConcurrentMisses) {
-  // 8 client threads hammer the same cold key set concurrently. Build-once
-  // must hold per key even when several keys collide in one shard and all
-  // 8 threads miss on it at the same instant: total misses == distinct
-  // keys, everything else is a hit, and every thread sees the same plan.
-  api::PlanCache cache(32, 8);
-  std::vector<api::PlanKey> keys;
-  for (index_t m = 40; keys.size() < 12; m += 8) {
-    keys.push_back(key_for(m, m - 8, 2, 1));
-  }
-  // The workload only stresses per-shard concurrency if shards collide;
-  // with 12 keys over 8 shards the pigeonhole principle guarantees it.
-  std::vector<int> shard_hits(8, 0);
-  for (const auto& k : keys) ++shard_hits[cache.shard_of(k)];
-  EXPECT_GT(*std::max_element(shard_hits.begin(), shard_hits.end()), 1);
-
-  constexpr int kThreads = 8;
-  constexpr int kReps = 4;
-  std::vector<std::vector<const api::AtaPlan*>> seen(
-      kThreads, std::vector<const api::AtaPlan*>(keys.size(), nullptr));
-  std::atomic<int> ready{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&, i] {
-      ready.fetch_add(1, std::memory_order_acq_rel);
-      while (ready.load(std::memory_order_acquire) < kThreads) std::this_thread::yield();
-      for (int rep = 0; rep < kReps; ++rep) {
-        for (std::size_t k = 0; k < keys.size(); ++k) {
-          const auto plan = cache.get_or_build(keys[k]);
-          if (rep == 0) seen[static_cast<std::size_t>(i)][k] = plan.get();
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  const auto s = cache.stats();
-  EXPECT_EQ(s.shards, 8u);
-  EXPECT_EQ(s.misses, keys.size()) << "every key must build exactly once";
-  EXPECT_EQ(s.evictions, 0u) << "working set fits the global budget, no shard may evict";
-  EXPECT_EQ(s.hits + s.misses,
-            static_cast<std::uint64_t>(kThreads) * kReps * keys.size());
-  EXPECT_EQ(s.size, keys.size());
-  for (int i = 1; i < kThreads; ++i) {
-    EXPECT_EQ(seen[static_cast<std::size_t>(i)], seen[0])
-        << "concurrent requesters must share one built plan per key";
   }
 }
 

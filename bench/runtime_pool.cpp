@@ -149,20 +149,17 @@ int main(int argc, char** argv) {
   const std::size_t grows_steady = pool_grows(pool) - grows_warm;
   const Result rf = time_calls(call_forkjoin, calls);
 
-  const metrics::NumaPoolStats numa = pool.numa_stats();
+  const std::uint64_t steals = pool.steals();
 
   Table table("Repeated AtA-S, " + std::to_string(m) + "x" + std::to_string(n) + ", P=" +
               std::to_string(threads) + ", P'=" + std::to_string(threads * oversub) + ", " +
               std::to_string(calls) + " calls");
-  table.set_header({"engine", "mean ms/call", "min ms/call", "steals (local/remote)",
-                    "arena grows (steady)"});
+  table.set_header({"engine", "mean ms/call", "min ms/call", "steals", "arena grows (steady)"});
   table.add_row({"pool", Table::num(rp.mean_ms, 3), Table::num(rp.min_ms, 3),
-                 std::to_string(numa.local_steals) + "/" + std::to_string(numa.remote_steals),
-                 std::to_string(grows_steady)});
+                 std::to_string(steals), std::to_string(grows_steady)});
   table.add_row({kForkJoinName, Table::num(rf.mean_ms, 3), Table::num(rf.min_ms, 3), "-",
                  "-"});
   table.print();
-  std::printf("pool topology: %s\n", numa.to_string().c_str());
 
   bench::JsonWriter json(flags.get_string("json"));
   for (const auto& [engine, res] : {std::pair<const char*, const Result*>{"pool", &rp},
@@ -178,13 +175,7 @@ int main(int argc, char** argv) {
         .num("min_ms", res->min_ms)
         .num("calls_per_s", res->mean_ms > 0 ? 1e3 / res->mean_ms : 0.0);
     if (std::string(engine) == "pool") {
-      rec.num("numa_nodes", numa.nodes)
-          .num("fake_topology", numa.fake_topology ? 1 : 0)
-          .num("local_steals", numa.local_steals)
-          .num("remote_steals", numa.remote_steals)
-          .num("steal_locality", numa.steal_locality())
-          .num("scheduled_imbalance", numa.scheduled_imbalance())
-          .num("grows_steady", static_cast<std::uint64_t>(grows_steady));
+      rec.num("steals", steals).num("grows_steady", static_cast<std::uint64_t>(grows_steady));
     }
     json.add(rec);
   }

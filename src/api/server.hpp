@@ -183,9 +183,8 @@ class Server {
   /// batch, group by shape through the plan cache (one lookup per distinct
   /// shape), warm the pool once to the batch-wide workspace bound, and
   /// enqueue every request's tasks as a single queued pool batch, placed
-  /// by the pool's block distribution over its worker slots (so on a
-  /// multi-node host served traffic follows each node's share of worker
-  /// slots) — per-worker pack buffers and arenas are shared
+  /// by the pool's block distribution over its worker slots — per-worker
+  /// pack buffers and arenas are shared
   /// across the whole batch, so the warm path performs zero schedule
   /// builds and zero slab allocations regardless of batch size. The
   /// batch's pool priority is the max request (and opts) priority, and
@@ -208,12 +207,10 @@ class Server {
   template <typename T>
   std::vector<std::future<void>> submit_batch(std::span<const AtaRequest<T>> requests);
 
+  /// Plan-cache snapshot (hits, misses, evictions, size, capacity), taken
+  /// under the cache's lock. Pool counters — steals(), queue_depth(),
+  /// per-slot scheduled_on_slot() — are read off executor().
   PlanCacheStats plan_stats() const { return cache_.stats(); }
-  /// Topology + steal-locality snapshot of the serving pool: per-node
-  /// scheduled/executed task counts and local/remote steal totals
-  /// (metrics/numa_stats.hpp). Pairs with plan_stats()/stats() as the
-  /// introspection surface a deployment scrapes.
-  metrics::NumaPoolStats runtime_stats() const { return pool_.numa_stats(); }
   /// Overload-control snapshot: admission outcome counters (monotonic),
   /// in-flight gauges, and per-phase latency quantiles (admission-wait,
   /// queue-wait, compute). Lock-free except the two gauges.

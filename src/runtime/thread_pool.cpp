@@ -6,11 +6,6 @@
 
 #include "common/checked.hpp"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace atalib::runtime {
 namespace {
 
@@ -38,45 +33,15 @@ Workspace& inline_workspace() {
 
 }  // namespace
 
-ThreadPool::ThreadPool(int threads)
-    : topo_(probe_numa_topology()), blocks_(BlockRecycler::create()) {
+ThreadPool::ThreadPool(int threads) : blocks_(BlockRecycler::create()) {
   int n = threads > 0 ? threads : static_cast<int>(std::thread::hardware_concurrency());
   n = std::max(1, n);
-  // Block slots over nodes proportionally to each node's CPU share, so a
-  // pool smaller or larger than the machine still spreads across every
-  // node: node i owns slots [n * cpus_before_i / total, n * cpus_thru_i /
-  // total). Degenerate nodes (zero slots) simply never home a task.
-  const int nnodes = topo_.num_nodes();
-  const int total_cpus = std::max(1, topo_.total_cpus());
-  node_of_slot_.resize(static_cast<std::size_t>(n));
-  node_slots_.assign(static_cast<std::size_t>(nnodes), {});
-  int cpus_seen = 0;
-  int slot = 0;
-  for (int node = 0; node < nnodes; ++node) {
-    cpus_seen += static_cast<int>(topo_.nodes[static_cast<std::size_t>(node)].cpus.size());
-    const int hi = (node == nnodes - 1)
-                       ? n
-                       : static_cast<int>(static_cast<long long>(n) * cpus_seen / total_cpus);
-    for (; slot < hi; ++slot) {
-      node_of_slot_[static_cast<std::size_t>(slot)] = node;
-      node_slots_[static_cast<std::size_t>(node)].push_back(slot);
-    }
-  }
-  scheduled_per_node_ =
-      std::make_unique<std::atomic<std::uint64_t>[]>(static_cast<std::size_t>(nnodes));
-  executed_per_node_ =
-      std::make_unique<std::atomic<std::uint64_t>[]>(static_cast<std::size_t>(nnodes));
-  for (int i = 0; i < nnodes; ++i) {
-    scheduled_per_node_[static_cast<std::size_t>(i)].store(0, std::memory_order_relaxed);
-    executed_per_node_[static_cast<std::size_t>(i)].store(0, std::memory_order_relaxed);
-  }
   queues_.reserve(static_cast<std::size_t>(n));
   workspaces_.reserve(static_cast<std::size_t>(n));
   for (int s = 0; s < n; ++s) {
     queues_.push_back(std::make_unique<Queue>());
     workspaces_.push_back(std::make_unique<Workspace>());
   }
-  slot_warm_seen_.assign(static_cast<std::size_t>(n), 0);
   threads_.reserve(static_cast<std::size_t>(n - 1));
   for (int s = 0; s < n - 1; ++s) {
     threads_.emplace_back([this, s] { worker_main(s); });
@@ -107,31 +72,7 @@ ThreadPool& ThreadPool::global() {
 
 bool ThreadPool::current_thread_in_task() { return tl_task_depth > 0 || tl_inline_depth > 0; }
 
-void ThreadPool::pin_to_node(int slot) {
-#if defined(__linux__)
-  // Fake topologies name CPUs that need not exist; placement logic still
-  // runs, affinity syscalls do not. Single-node pinning would be a no-op.
-  if (topo_.fake || topo_.num_nodes() <= 1) return;
-  const auto& cpus =
-      topo_.nodes[static_cast<std::size_t>(node_of_slot(slot))].cpus;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  bool any = false;
-  for (int c : cpus) {
-    if (c >= 0 && c < CPU_SETSIZE) {
-      CPU_SET(c, &set);
-      any = true;
-    }
-  }
-  // Best effort: a failed pin costs locality, not correctness.
-  if (any) (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)slot;
-#endif
-}
-
 void ThreadPool::worker_main(int slot) {
-  pin_to_node(slot);
   std::uint64_t seen = 0;
   UniqueLock lk(mu_);
   while (true) {
@@ -142,29 +83,6 @@ void ThreadPool::worker_main(int slot) {
     }
     if (stop_) return;
     seen = generation_;
-    if (slot_warm_seen_[static_cast<std::size_t>(slot)] != warm_epoch_) {
-      // A growing warm is in flight: grow *this* slot on *this* thread so
-      // the slab pages are first-touched on the worker's node, then report
-      // in. Admissions are queued behind the warm, so no task can race the
-      // growth.
-#if ATALIB_CHECKED
-      // §5 ordering, machine-checked: workers only grow inside a quiesced
-      // warm window — a batch in flight here means slot slabs could be
-      // reallocated under a running task.
-      if (active_batches_ != 0) {
-        checked_abort("§5 warm-path ordering violated",
-                      "worker-side warm growth with a batch in flight");
-      }
-#endif
-      slot_warm_seen_[static_cast<std::size_t>(slot)] = warm_epoch_;
-      const std::size_t f = warm_float_target_;
-      const std::size_t d = warm_double_target_;
-      lk.unlock();
-      workspaces_[static_cast<std::size_t>(slot)]->warm_first_touch(f, d);
-      lk.lock();
-      if (--warm_pending_ == 0) quiesce_cv_.notify_all();
-      continue;
-    }
     lk.unlock();
     drain(slot);
     lk.lock();
@@ -230,51 +148,27 @@ bool ThreadPool::try_pop(int slot, Item& item) {
   return take(*queues_[static_cast<std::size_t>(slot)], /*front=*/true, item);
 }
 
-bool ThreadPool::try_steal_from(int thief, int victim, Item& item) {
-  if (!take(*queues_[static_cast<std::size_t>(victim)], /*front=*/false, item)) return false;
-  if (node_of_slot(victim) == node_of_slot(thief)) {
-    local_steals_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    remote_steals_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return true;
-}
-
 bool ThreadPool::try_steal(int thief, Item& item) {
-  // Locality-first steal order (DESIGN.md §7): drain same-node victims
-  // before touching any remote node's queue — a stolen task's packed
-  // panels and C stripe were placed for its home node, so a same-node
-  // thief executes against local memory while a remote thief pays
-  // cross-socket traffic for every leaf access.
-  const auto& local = node_slots_[static_cast<std::size_t>(node_of_slot(thief))];
-  const int nlocal = static_cast<int>(local.size());
-  // Rotate by the thief's position within its node so same-node thieves
-  // fan out over different victims instead of convoying on one queue.
-  int my_pos = 0;
-  for (int i = 0; i < nlocal; ++i) {
-    if (local[static_cast<std::size_t>(i)] == thief) {
-      my_pos = i;
-      break;
-    }
-  }
-  for (int d = 1; d < nlocal; ++d) {
-    const int victim = local[static_cast<std::size_t>((my_pos + d) % nlocal)];
-    if (try_steal_from(thief, victim, item)) return true;
-  }
-  // Only then cross nodes, nearest-slot rotation over the remainder.
+  // Victims thief+1, thief+2, ... (mod n): concurrent thieves start at
+  // different queues instead of convoying on one.
   const int n = concurrency();
   for (int d = 1; d < n; ++d) {
-    const int victim = (thief + d) % n;
-    if (node_of_slot(victim) == node_of_slot(thief)) continue;
-    if (try_steal_from(thief, victim, item)) return true;
+    if (take(*queues_[static_cast<std::size_t>((thief + d) % n)], /*front=*/false, item)) {
+      steals_.fetch_add(1, std::memory_order_relaxed);
+      return true;
+    }
   }
   return false;
 }
 
+std::uint64_t ThreadPool::scheduled_on_slot(int slot) const {
+  Queue& q = *queues_[static_cast<std::size_t>(slot)];
+  MutexLock lk(q.mu);
+  return q.scheduled;
+}
+
 void ThreadPool::execute(int slot, Item item) {
   Batch& batch = *item.batch;
-  executed_per_node_[static_cast<std::size_t>(node_of_slot(slot))].fetch_add(
-      1, std::memory_order_relaxed);
   TaskContext ctx;
   ctx.worker = slot;
   ctx.workspace = workspaces_[static_cast<std::size_t>(slot)].get();
@@ -359,11 +253,10 @@ std::future<void> ThreadPool::enqueue(int ntasks, TaskFn owned, const TaskFn* fn
 
     // Block distribution, the pool's one placement rule: slot s owns a
     // contiguous chunk of task ids, so the schedule's home-worker hints
-    // translate into locality, and because slots are blocked over nodes by
-    // CPU share, the chunks spread over the nodes by that share too;
-    // stealing rebalances from there. A queued batch with fewer tasks than
-    // slots starts at a rotating slot, so a stream of one-task batches
-    // spreads over every worker's queue instead of piling onto one.
+    // translate into locality; stealing rebalances from there. A queued
+    // batch with fewer tasks than slots starts at a rotating slot, so a
+    // stream of one-task batches spreads over every worker's queue instead
+    // of piling onto one.
     int home = 0;
     if (rotate && ntasks < dist_slots) {
       home = next_home_ % dist_slots;
@@ -379,9 +272,8 @@ std::future<void> ThreadPool::enqueue(int ntasks, TaskFn owned, const TaskFn* fn
       Ring& tasks = class_for(q, priority);
       for (int t = lo; t < hi; ++t) tasks.push_back(Item{batch, t});
       q.size.store(q.size.load(std::memory_order_relaxed) + (hi - lo), std::memory_order_relaxed);
+      q.scheduled += static_cast<std::uint64_t>(hi - lo);
       queued_tasks_.fetch_add(static_cast<std::uint64_t>(hi - lo), std::memory_order_relaxed);
-      scheduled_per_node_[static_cast<std::size_t>(node_of_slot(slot))].fetch_add(
-          static_cast<std::uint64_t>(hi - lo), std::memory_order_relaxed);
     }
     ++generation_;
     wake = std::min(ntasks, parked_);
@@ -461,39 +353,27 @@ void ThreadPool::warm_workspaces(std::size_t float_elems, std::size_t double_ele
   if (float_elems > warmed_float_.load(std::memory_order_acquire) ||
       double_elems > warmed_double_.load(std::memory_order_acquire)) {
     // Growth path: wait for the pool to quiesce (new admissions queue
-    // behind warm_waiters_, so this cannot be starved), then have every
-    // worker grow its *own* slot — the first write decides NUMA placement,
-    // so growth must happen on the owning worker's thread, not here. The
-    // caller slot has no worker; this thread grows it (run() callers drain
-    // that slot themselves, so its pages belong on the client's node).
+    // behind warm_waiters_, so this cannot be starved), then grow every
+    // slot from this thread. mu_ stays held throughout, so no batch can be
+    // admitted and concurrent warms serialize.
     UniqueLock lk(mu_);
     ++warm_waiters_;
-    while (active_batches_ != 0 || warm_growing_) quiesce_cv_.wait(lk);
+    while (active_batches_ != 0) quiesce_cv_.wait(lk);
+#if ATALIB_CHECKED
+    // §5 ordering, machine-checked: slot slabs grow only while no task can
+    // hold their arenas.
+    if (active_batches_ != 0) {
+      checked_abort("§5 warm-path ordering violated", "slot growth with a batch in flight");
+    }
+#endif
     const std::size_t tf = std::max(float_elems, warmed_float_.load(std::memory_order_relaxed));
     const std::size_t td =
         std::max(double_elems, warmed_double_.load(std::memory_order_relaxed));
-    warm_growing_ = true;
-    warm_float_target_ = tf;
-    warm_double_target_ = td;
-    warm_pending_ = static_cast<int>(threads_.size());
-    ++warm_epoch_;
-    const int caller_slot = concurrency() - 1;
-    slot_warm_seen_[static_cast<std::size_t>(caller_slot)] = warm_epoch_;
-    ++generation_;  // wake parked workers for the new epoch
-    lk.unlock();
-    work_cv_.notify_all();
-    workspaces_[static_cast<std::size_t>(caller_slot)]->warm_first_touch(tf, td);
-    lk.lock();
-    while (warm_pending_ != 0) quiesce_cv_.wait(lk);
-    if (tf > warmed_float_.load(std::memory_order_relaxed)) {
-      warmed_float_.store(tf, std::memory_order_release);
-    }
-    if (td > warmed_double_.load(std::memory_order_relaxed)) {
-      warmed_double_.store(td, std::memory_order_release);
-    }
-    warm_growing_ = false;
+    for (auto& ws : workspaces_) ws->warm(tf, td);
+    warmed_float_.store(tf, std::memory_order_release);
+    warmed_double_.store(td, std::memory_order_release);
     --warm_waiters_;
-    quiesce_cv_.notify_all();  // release queued admissions and queued warms
+    quiesce_cv_.notify_all();  // release queued admissions
   }
   // Only a workerless pool routes batches through the calling thread's
   // inline workspace; warming it on a multi-slot pool would hand every
@@ -501,21 +381,6 @@ void ThreadPool::warm_workspaces(std::size_t float_elems, std::size_t double_ele
   // the worker slots). Width-1 and nested inline paths on multi-slot
   // pools warm their thread-local slab monotonically on first use.
   if (concurrency() == 1) inline_workspace().warm(float_elems, double_elems);
-}
-
-metrics::NumaPoolStats ThreadPool::numa_stats() const {
-  metrics::NumaPoolStats stats;
-  stats.nodes = topo_.num_nodes();
-  stats.fake_topology = topo_.fake;
-  stats.scheduled_per_node.reserve(static_cast<std::size_t>(stats.nodes));
-  stats.executed_per_node.reserve(static_cast<std::size_t>(stats.nodes));
-  for (int node = 0; node < stats.nodes; ++node) {
-    stats.scheduled_per_node.push_back(scheduled_on_node(node));
-    stats.executed_per_node.push_back(executed_on_node(node));
-  }
-  stats.local_steals = local_steals();
-  stats.remote_steals = remote_steals();
-  return stats;
 }
 
 }  // namespace atalib::runtime

@@ -27,28 +27,21 @@
 // slab), so interleaving tasks of different batches on one slot is safe —
 // no task may hold arena memory across task boundaries.
 //
-// The pool is NUMA-topology-aware (DESIGN.md §7). Slots are grouped by the
-// node a slot's worker is pinned to (probe_numa_topology(); the
-// ATALIB_FAKE_NUMA override synthesizes multi-node layouts on flat CI
-// hosts, skipping only the affinity syscalls). Three mechanisms follow
-// from the grouping:
-//   - placement: the one block distribution above. Slots are blocked over
-//     nodes in proportion to each node's CPUs, so contiguous task chunks
-//     spread over the nodes by that share; per-node *scheduled* counters
-//     record assignment deterministically.
-//   - memory: a growing warm_workspaces() is executed by each worker on
-//     its own slot (first touch), so a slot's arena pages live on the
-//     worker's node — never on the admitting client's.
-//   - stealing: locality-first order — own queue, then same-node victims,
-//     then remote nodes, with separate local_steals()/remote_steals()
-//     counters so benches can report the cross-node traffic they avoided.
+// The pool is flat (DESIGN.md §7): one rule places tasks, one rotation
+// picks steal victims, and no slot is tied to a CPU or memory node.
+//   - placement: the block distribution above; a queued submit() batch
+//     with fewer tasks than worker slots starts at a rotating slot, so a
+//     stream of one-task batches spreads over every worker.
+//   - stealing: own queue first, then victims thief+1, thief+2, ... (mod
+//     the slot count), so concurrent thieves fan out instead of convoying
+//     on one queue.
 //
 // warm_workspaces() keeps its "no batch in flight" requirement internal:
 // requests at or below the pool's warmed high-water mark return after two
-// atomic loads (the serving hot path), larger requests wait for the pool
-// to quiesce, have every worker grow its own slot (first touch, see
-// above), and raise the mark. New batch admissions queue behind a waiting
-// warm so it cannot be starved.
+// atomic loads (the serving hot path); larger requests wait for the pool
+// to quiesce and then grow every slot from the warming thread, under the
+// pool mutex, before raising the mark. New batch admissions queue behind
+// a waiting warm so it cannot be starved.
 //
 // Queues are tiny-critical-section mutex rings, not lock-free Chase-Lev:
 // tasks here are matrix multiplications (micro- to milliseconds), so queue
@@ -78,9 +71,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/cacheinfo.hpp"
 #include "common/thread_annotations.hpp"
-#include "metrics/numa_stats.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/recycler.hpp"
 
@@ -101,19 +92,6 @@ class ThreadPool {
 
   /// Number of execution slots (upper bound on concurrency).
   int concurrency() const { return static_cast<int>(queues_.size()); }
-  /// NUMA nodes the slots span: the probed (or ATALIB_FAKE_NUMA-synthesized)
-  /// topology.
-  int numa_nodes() const { return topo_.num_nodes(); }
-
-  /// The topology the pool grouped its slots by (probed, or synthesized
-  /// from ATALIB_FAKE_NUMA, at construction).
-  const NumaTopology& topology() const { return topo_; }
-  /// Node owning `slot` (slots are blocked over nodes proportionally to
-  /// each node's CPU share; the caller slot is the last slot of the last
-  /// node).
-  int node_of_slot(int slot) const {
-    return node_of_slot_[static_cast<std::size_t>(slot)];
-  }
 
   /// Execute fn(t, ctx) for every t in [0, ntasks) and return when all
   /// tasks have finished; rethrows the first task exception after the
@@ -121,8 +99,8 @@ class ThreadPool {
   /// submission from inside a task, executes inline on the calling
   /// thread. Batches from independent client threads overlap. Tasks are
   /// block-distributed over every slot; stealing may still execute a task
-  /// anywhere — locality-first order makes a remote steal the exception,
-  /// and the write-disjoint task contract makes it always correct.
+  /// anywhere, and the write-disjoint task contract makes that always
+  /// correct.
   void run(int ntasks, const TaskFn& fn);
 
   /// Queued multi-batch admission: enqueue the batch and return a future
@@ -167,31 +145,16 @@ class ThreadPool {
   /// nested submission instead of deadlocking.
   static bool current_thread_in_task();
 
-  /// Tasks executed by a slot other than their home slot (lifetime total,
-  /// local + remote).
-  std::uint64_t steals() const { return local_steals() + remote_steals(); }
-  /// Steals whose victim slot is on the thief's own node.
-  std::uint64_t local_steals() const {
-    return local_steals_.load(std::memory_order_relaxed);
-  }
-  /// Steals that crossed a node boundary (the traffic locality-first
-  /// ordering exists to minimize).
-  std::uint64_t remote_steals() const {
-    return remote_steals_.load(std::memory_order_relaxed);
-  }
-  /// Tasks enqueued on slots of `node` (assignment-time, lifetime total).
-  std::uint64_t scheduled_on_node(int node) const {
-    return scheduled_per_node_[static_cast<std::size_t>(node)].load(
-        std::memory_order_relaxed);
-  }
-  /// Tasks executed by slots of `node` (execution-time, lifetime total).
-  std::uint64_t executed_on_node(int node) const {
-    return executed_per_node_[static_cast<std::size_t>(node)].load(
-        std::memory_order_relaxed);
-  }
-  /// Snapshot of the topology + locality counters for the metrics surface
-  /// (api::Server::runtime_stats, bench/runtime_pool).
-  metrics::NumaPoolStats numa_stats() const;
+  /// Tasks executed by a slot other than their home slot (lifetime total).
+  std::uint64_t steals() const { return steals_.load(std::memory_order_relaxed); }
+  /// steals(), under the name perfbench's counters still read.
+  std::uint64_t local_steals() const { return steals(); }
+  /// Always 0: a flat pool has no remote victims (kept for perfbench).
+  std::uint64_t remote_steals() const { return 0; }
+  /// Tasks batch admissions have placed on `slot`'s queue (lifetime total,
+  /// assignment-time: a steal may still run one elsewhere). Deterministic
+  /// under the block distribution, so tests read placement off it.
+  std::uint64_t scheduled_on_slot(int slot) const;
   /// Batches admitted to the queues (lifetime total; inline executions of
   /// nested or one-task work are not batches).
   std::uint64_t batches() const { return batches_.load(std::memory_order_relaxed); }
@@ -270,6 +233,8 @@ class ThreadPool {
     /// Tasks queued here; written under mu, read without it so thieves
     /// skip empty victims without taking their locks.
     std::atomic<int> size{0};
+    /// Tasks ever pushed here (see scheduled_on_slot).
+    std::uint64_t scheduled ATALIB_GUARDED_BY(mu) = 0;
   };
 
   /// The class for `priority` in q (creating it in sorted position).
@@ -295,24 +260,18 @@ class ThreadPool {
   void retire(Batch& batch);
   void run_inline(int ntasks, const TaskFn& fn);
   void worker_main(int slot);
-  void pin_to_node(int slot);
   void drain(int slot);
   void drain_for(int slot, const std::future<void>& done);
   bool try_pop(int slot, Item& item);
   bool try_steal(int thief, Item& item);
-  bool try_steal_from(int thief, int victim, Item& item);
   void execute(int slot, Item item);
-
-  NumaTopology topo_;                  // probed (or faked) at construction
-  std::vector<int> node_of_slot_;      // slot -> node index
-  std::vector<std::vector<int>> node_slots_;  // node index -> its slots, ascending
 
   std::vector<std::unique_ptr<Queue>> queues_;          // one per slot
   std::vector<std::unique_ptr<Workspace>> workspaces_;  // parallel to queues_
   std::vector<std::thread> threads_;                    // the W workers
 
-  /// Guards generation_/stop_/active_batches_/parked_/warm_* state and the
-  /// batch free list. The condition variables are
+  /// Guards generation_/stop_/active_batches_/parked_/warm_waiters_, the
+  /// batch free list, and slot workspace growth. The condition variables are
   /// condition_variable_any so they wait on the capability-annotated
   /// UniqueLock (common/thread_annotations.hpp).
   Mutex mu_;
@@ -328,19 +287,6 @@ class ThreadPool {
   Batch* free_batches_ ATALIB_GUARDED_BY(mu_) = nullptr;
   int nfree_batches_ ATALIB_GUARDED_BY(mu_) = 0;
 
-  /// Worker-side warm growth (first touch): a growing warm publishes the
-  /// targets and a fresh epoch under mu_, wakes every worker, and waits for
-  /// warm_pending_ to hit zero; each worker grows its *own* slot exactly
-  /// once per epoch (slot_warm_seen_). warm_growing_ serializes concurrent
-  /// growing warms.
-  bool warm_growing_ ATALIB_GUARDED_BY(mu_) = false;
-  std::uint64_t warm_epoch_ ATALIB_GUARDED_BY(mu_) = 0;
-  int warm_pending_ ATALIB_GUARDED_BY(mu_) = 0;
-  std::size_t warm_float_target_ ATALIB_GUARDED_BY(mu_) = 0;
-  std::size_t warm_double_target_ ATALIB_GUARDED_BY(mu_) = 0;
-  /// Last epoch each slot grew for.
-  std::vector<std::uint64_t> slot_warm_seen_ ATALIB_GUARDED_BY(mu_);
-
   /// High-water marks warm_workspaces() has grown every slot to; requests
   /// at or below them skip the quiescence path entirely.
   std::atomic<std::size_t> warmed_float_{0};
@@ -351,17 +297,11 @@ class ThreadPool {
   /// must never share the caller slot's workspace).
   std::atomic<bool> caller_slot_busy_{false};
 
-  std::atomic<std::uint64_t> local_steals_{0};
-  std::atomic<std::uint64_t> remote_steals_{0};
+  std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> batches_{0};
   /// Tasks in the slot queues right now (see queue_depth()); incremented
   /// at push, decremented at pop/steal.
   std::atomic<std::uint64_t> queued_tasks_{0};
-  /// Per-node task counters (see scheduled_on_node/executed_on_node);
-  /// heap-array because std::atomic is immovable and the node count is a
-  /// construction-time constant.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> scheduled_per_node_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> executed_per_node_;
   /// Shared states of the futures submit() and run() hand out.
   BlockRecycler* blocks_;
 };

@@ -9,8 +9,8 @@
 // workspace mallocs on the steady-state hot path.
 //
 // Under ATALIB_CHECKED the workspace enforces the §5 warm-path ordering it
-// otherwise only promises: once warm()/warm_first_touch() has grown this
-// slot to a high-water mark, an arena request at or below that mark must be
+// otherwise only promises: once warm() has grown this slot to a
+// high-water mark, an arena request at or below that mark must be
 // satisfied without a slab allocation — a grow there means the pool's warm
 // protocol skipped this slot, and checked builds abort instead of silently
 // allocating inside a task. Each arena() call also stamps the arena with
@@ -52,6 +52,8 @@ class Workspace {
   }
 
   /// Grow both typed slabs to the given element counts (and reset them).
+  /// The pool calls this from the warming thread; nothing is written, so
+  /// a page is first touched by the task that first uses it.
   void warm(std::size_t float_elems, std::size_t double_elems) {
     arena<float>(float_elems);
     arena<double>(double_elems);
@@ -59,18 +61,6 @@ class Workspace {
     if (float_elems > warmed_float_) warmed_float_ = float_elems;
     if (double_elems > warmed_double_) warmed_double_ = double_elems;
 #endif
-  }
-
-  /// warm() plus a page-stride write over both slabs from the calling
-  /// thread. aligned_alloc'd slabs are backed by untouched pages; on NUMA
-  /// hosts the first *write* decides which node the page lands on, so the
-  /// pool has each worker first-touch its own workspace (DESIGN.md §7) —
-  /// warming from the admitting thread would silently place every slot's
-  /// arena on that thread's node.
-  void warm_first_touch(std::size_t float_elems, std::size_t double_elems) {
-    warm(float_elems, double_elems);
-    touch_slab(float_);
-    touch_slab(double_);
   }
 
   /// Slab (re)allocations performed so far. Benches assert this stops
@@ -83,17 +73,6 @@ class Workspace {
   }
 
  private:
-  template <typename T>
-  static void touch_slab(Arena<T>& a) {
-    const std::size_t cap = a.capacity();
-    if (cap == 0) return;
-    constexpr std::size_t kStride = 4096 / sizeof(T);  // one write per page
-    T* p = a.allocate(cap);
-    for (std::size_t i = 0; i < cap; i += kStride) p[i] = T(0);
-    p[cap - 1] = T(0);
-    a.reset();
-  }
-
   template <typename T>
   Arena<T>& slot() {
     static_assert(std::is_same_v<T, float> || std::is_same_v<T, double>,

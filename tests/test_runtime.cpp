@@ -1,6 +1,7 @@
 // Tests for the persistent task-pool runtime: exactly-once execution under
-// stealing (the Snippet-1-style integrity property), workspace reuse,
-// re-entrancy, error propagation, the over-decomposed AtA-S schedule,
+// stealing (the Snippet-1-style integrity property), block placement and
+// the rotation of small queued batches (the per-slot scheduled-count
+// oracle), workspace reuse, re-entrancy, error propagation, the over-decomposed AtA-S schedule,
 // bitwise agreement of pool-executed AtA-S with the serial engines for any
 // plan thread count, inline execution of P = 1 plans, and the recycling of
 // retired batches and of the futures' shared states (BlockRecycler).
@@ -12,14 +13,17 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <latch>
 #include <memory>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "api/execute.hpp"
 #include "api/plan_cache.hpp"
+#include "api/server.hpp"
 #include "ata/ata.hpp"
 #include "blas/reference.hpp"
 #include "blas/syrk.hpp"
@@ -216,6 +220,345 @@ TEST(ThreadPoolMultiBatch, WarmWaitsForQuiescenceThenGrows) {
   }
   EXPECT_EQ(grows_after_batch, grows_after_warm)
       << "requests at the warmed mark must not allocate";
+}
+
+// ---- Placement and stealing (per-slot scheduled-count oracle) -----------
+
+/// Tasks each slot of `pool` has been handed, slot 0 first.
+std::vector<std::uint64_t> scheduled(const runtime::ThreadPool& pool) {
+  std::vector<std::uint64_t> counts;
+  for (int s = 0; s < pool.concurrency(); ++s) counts.push_back(pool.scheduled_on_slot(s));
+  return counts;
+}
+
+const auto noop = [](int, runtime::TaskContext&) {};
+
+TEST(ThreadPoolPlacement, RunBlockDistributesOverEverySlot) {
+  runtime::ThreadPool pool(8);
+  std::atomic<int> ran{0};
+  pool.run(16, [&](int, runtime::TaskContext&) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 16);
+  // Assignment-time counts do not depend on stealing: 2 tasks per slot.
+  EXPECT_EQ(scheduled(pool), std::vector<std::uint64_t>(8, 2));
+
+  runtime::ThreadPool uneven(8);
+  uneven.run(10, noop);  // 10 = 8 + 2: two slots get a second task
+  std::uint64_t total = 0;
+  for (const std::uint64_t count : scheduled(uneven)) {
+    EXPECT_GE(count, 1u);
+    EXPECT_LE(count, 2u);
+    total += count;
+  }
+  EXPECT_EQ(total, 10u);
+}
+
+TEST(ThreadPoolPlacement, SmallQueuedBatchesRotateOverWorkerSlotsOnly) {
+  // Slot 3 is the caller slot: submit() never places on it, run() does.
+  runtime::ThreadPool pool(4);
+
+  // One-task batches rotate over the three worker slots: a third each.
+  for (int i = 0; i < 300; ++i) pool.submit(1, noop).get();
+  EXPECT_EQ(scheduled(pool), (std::vector<std::uint64_t>{100, 100, 100, 0}));
+
+  // A two-task batch puts one task on each of two worker slots (the block
+  // split of 2 over 3 leaves the home slot, here slot 0, empty).
+  pool.submit(2, noop).get();
+  EXPECT_EQ(scheduled(pool), (std::vector<std::uint64_t>{100, 101, 101, 0}));
+
+  // run() does not rotate and spreads over every slot, the caller's too.
+  pool.run(8, noop);
+  EXPECT_EQ(scheduled(pool), (std::vector<std::uint64_t>{102, 103, 103, 2}));
+}
+
+TEST(ThreadPoolPlacement, BalancedOneTaskPerSlotBatchHasZeroSteals) {
+  // One task per slot, latch-gated so no task finishes until every slot
+  // has popped its own: no slot is ever idle with work queued elsewhere,
+  // so steals() == 0 is deterministic even on an oversubscribed host.
+  runtime::ThreadPool pool(4);
+  std::latch all_started(4);
+  pool.run(4, [&](int, runtime::TaskContext&) { all_started.arrive_and_wait(); });
+  EXPECT_EQ(pool.steals(), 0u);
+  EXPECT_EQ(scheduled(pool), (std::vector<std::uint64_t>{1, 1, 1, 1}));
+}
+
+TEST(ThreadPoolPlacement, WarmGrowsEverySlotThenBatchAllocatesNothing) {
+  runtime::ThreadPool pool(4);
+  const std::size_t floats = 3000, doubles = 5000;
+  pool.warm_workspaces(floats, doubles);
+  std::vector<std::size_t> grows_before;
+  for (int s = 0; s < pool.concurrency(); ++s) {
+    EXPECT_GE(pool.workspace(s).bytes(), floats * sizeof(float) + doubles * sizeof(double))
+        << "slot " << s;
+    grows_before.push_back(pool.workspace(s).grow_count());
+  }
+  // A batch fitting the warmed bound allocates nothing on any slot.
+  pool.run(8, [&](int, runtime::TaskContext& ctx) {
+    Arena<double>& arena = ctx.arena<double>(doubles);
+    arena.allocate(doubles);
+  });
+  for (int s = 0; s < pool.concurrency(); ++s) {
+    EXPECT_EQ(pool.workspace(s).grow_count(), grows_before[static_cast<std::size_t>(s)])
+        << "slot " << s;
+  }
+}
+
+// A queued batch of k < 3 tasks from home slot h is split blockwise over
+// the 3 worker slots starting at h, so its tasks take the *last* k of
+// slots h, h+1, h+2 (mod 3); the next home is h + k.
+
+TEST(ThreadPoolPlacement, WideQueuedBatchesDoNotAdvanceTheRotation) {
+  runtime::ThreadPool pool(4);
+  pool.submit(1, noop).get();  // home 0: slot 2; the next home is 1
+  EXPECT_EQ(scheduled(pool), (std::vector<std::uint64_t>{0, 0, 1, 0}));
+  pool.submit(3, noop).get();  // as wide as the worker slots: no rotation
+  EXPECT_EQ(scheduled(pool), (std::vector<std::uint64_t>{1, 1, 2, 0}));
+  pool.submit(1, noop).get();  // still home 1: slot 0
+  EXPECT_EQ(scheduled(pool), (std::vector<std::uint64_t>{2, 1, 2, 0}));
+}
+
+TEST(ThreadPoolPlacement, RotationWrapsAroundTheWorkerSlots) {
+  runtime::ThreadPool pool(4);
+  pool.submit(1, noop).get();  // home 0: slot 2
+  pool.submit(1, noop).get();  // home 1: slot 0
+  EXPECT_EQ(scheduled(pool), (std::vector<std::uint64_t>{1, 0, 1, 0}));
+  pool.submit(2, noop).get();  // home 2: slots 0 and 1, wrapping around
+  EXPECT_EQ(scheduled(pool), (std::vector<std::uint64_t>{2, 1, 1, 0}));
+  pool.submit(1, noop).get();  // home (2 + 2) % 3 = 1: slot 0
+  EXPECT_EQ(scheduled(pool), (std::vector<std::uint64_t>{3, 1, 1, 0}));
+}
+
+TEST(ThreadPoolPlacement, NarrowRunGivesEveryTaskItsOwnSlot) {
+  // The blocking-batch invariant (thread_pool.hpp): ntasks <= concurrency()
+  // puts at most one task on a slot, the caller slot included.
+  runtime::ThreadPool pool(8);
+  pool.run(3, noop);
+  EXPECT_EQ(scheduled(pool), (std::vector<std::uint64_t>{0, 0, 1, 0, 0, 1, 0, 1}));
+  // So tasks that wait for each other cannot deadlock at that width.
+  std::latch all_started(5);
+  pool.run(5, [&](int, runtime::TaskContext&) { all_started.arrive_and_wait(); });
+  std::uint64_t total = 0;
+  for (const std::uint64_t count : scheduled(pool)) {
+    EXPECT_LE(count, 2u);
+    total += count;
+  }
+  EXPECT_EQ(total, 8u);
+}
+
+TEST(ThreadPoolPlacement, InlineExecutionSchedulesNothing) {
+  runtime::ThreadPool pool(4);
+  pool.run(1, noop);  // one-task batch: inline on the caller
+  // Nested submissions run inline inside the outer task.
+  pool.run(4, [&](int, runtime::TaskContext&) {
+    pool.run(8, noop);
+    pool.submit(3, noop).get();
+  });
+  EXPECT_EQ(scheduled(pool), (std::vector<std::uint64_t>{1, 1, 1, 1}));
+  EXPECT_EQ(pool.batches(), 1u);
+
+  runtime::ThreadPool workerless(1);
+  auto f = workerless.submit(5, noop);
+  EXPECT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  f.get();
+  workerless.run(5, noop);
+  EXPECT_EQ(workerless.scheduled_on_slot(0), 0u);
+  EXPECT_EQ(workerless.batches(), 0u);
+  EXPECT_EQ(workerless.steals(), 0u);
+}
+
+TEST(ThreadPoolPlacement, TasksQueuedBehindABlockedTaskAreStolen) {
+  // Slot 0 holds tasks 0 and 1; task 0 cannot finish until tasks 1-7 have,
+  // so task 1 (or task 0 itself) must run on a slot that stole it.
+  runtime::ThreadPool pool(4);
+  std::latch others_done(7);
+  std::vector<int> ran_on(8, -1);
+  pool.run(8, [&](int t, runtime::TaskContext& ctx) {
+    ran_on[static_cast<std::size_t>(t)] = ctx.worker;
+    if (t == 0) {
+      others_done.wait();
+    } else {
+      others_done.count_down();
+    }
+  });
+  EXPECT_GE(pool.steals(), 1u);
+  EXPECT_LE(pool.steals(), 7u);
+  for (int t = 0; t < 8; ++t) EXPECT_GE(ran_on[static_cast<std::size_t>(t)], 0) << "task " << t;
+  // Placement is assignment-time: stealing does not move the counts.
+  EXPECT_EQ(scheduled(pool), (std::vector<std::uint64_t>{2, 2, 2, 2}));
+  // A flat pool has no remote victims; perfbench's two counters read
+  // steals() and 0.
+  EXPECT_EQ(pool.local_steals(), pool.steals());
+  EXPECT_EQ(pool.remote_steals(), 0u);
+}
+
+TEST(ThreadPoolPlacement, QueueDepthCountsTasksNotYetTaken) {
+  // Two slots: one worker, and a caller slot nobody drains on the submit()
+  // path. With the worker held inside a task, later tasks stay queued.
+  runtime::ThreadPool pool(2);
+  std::latch started(1);
+  std::latch release(1);
+  auto held = pool.submit(1, [&](int, runtime::TaskContext&) {
+    started.count_down();
+    release.wait();
+  });
+  started.wait();
+  EXPECT_EQ(pool.queue_depth(), 0u);
+  auto queued = pool.submit(3, noop);
+  EXPECT_EQ(pool.queue_depth(), 3u);
+  release.count_down();
+  held.get();
+  queued.get();
+  EXPECT_EQ(pool.queue_depth(), 0u);
+  EXPECT_EQ(scheduled(pool), (std::vector<std::uint64_t>{4, 0}));
+}
+
+TEST(ThreadPoolPlacement, RunCallerStealsTheColdEndAndStopsWhenItsBatchIsDone) {
+  // Two slots: worker 0, held inside a task, and the caller slot.
+  runtime::ThreadPool pool(2);
+  std::latch started(1);
+  std::latch release(1);
+  auto held = pool.submit(1, [&](int, runtime::TaskContext&) {
+    started.count_down();
+    release.wait();
+  });
+  started.wait();
+  auto queued = pool.submit(3, noop);  // behind the held task on slot 0
+  // run(2) puts task 0 on slot 0 behind the queued batch and task 1 on the
+  // caller slot. The caller runs its own task, then steals slot 0's cold
+  // end, which is its own task 0, and returns without touching the older
+  // batch: it is not drafted into foreign work once its batch is done.
+  std::vector<int> ran;
+  pool.run(2, [&](int t, runtime::TaskContext& ctx) {
+    EXPECT_EQ(ctx.worker, 1) << "task " << t;
+    ran.push_back(t);
+  });
+  EXPECT_EQ(ran, (std::vector<int>{1, 0}));
+  EXPECT_EQ(pool.steals(), 1u);
+  EXPECT_EQ(pool.queue_depth(), 3u);
+  release.count_down();
+  held.get();
+  queued.get();
+  EXPECT_EQ(pool.steals(), 1u);
+}
+
+TEST(ThreadPoolPlacement, ThievesTryVictimsInRotationFromTheNextSlot) {
+  // Three slots: workers 0 and 1, both held, and the caller slot 2. The
+  // caller drains its own task, then steals from victims 2+1 = 0 and then
+  // 2+2 = 1 (mod 3), in that order.
+  runtime::ThreadPool pool(3);
+  std::latch started(2);
+  std::latch release(1);
+  auto held = pool.submit(2, [&](int, runtime::TaskContext&) {
+    started.count_down();
+    release.wait();
+  });
+  started.wait();
+  std::vector<int> ran;
+  pool.run(3, [&](int t, runtime::TaskContext& ctx) {
+    EXPECT_EQ(ctx.worker, 2) << "task " << t;
+    ran.push_back(t);
+  });
+  release.count_down();
+  held.get();
+  EXPECT_EQ(ran, (std::vector<int>{2, 0, 1}));
+  EXPECT_EQ(pool.steals(), 2u);
+}
+
+TEST(ThreadPoolPlacement, TaskContextNamesTheExecutingSlotAndItsWorkspace) {
+  runtime::ThreadPool pool(4);
+  std::atomic<int> mismatches{0};
+  std::atomic<int> ran{0};
+  for (int rep = 0; rep < 20; ++rep) {
+    pool.run(64, [&](int, runtime::TaskContext& ctx) {
+      if (ctx.worker < 0 || ctx.worker >= pool.concurrency() ||
+          ctx.workspace != &pool.workspace(ctx.worker)) {
+        mismatches.fetch_add(1);
+      }
+      ran.fetch_add(1);
+    });
+  }
+  EXPECT_EQ(ran.load(), 20 * 64);
+  EXPECT_EQ(mismatches.load(), 0);
+  // Inline execution uses a thread-local workspace, never a slot's.
+  pool.run(1, [&](int, runtime::TaskContext& ctx) {
+    EXPECT_EQ(ctx.worker, 0);
+    for (int s = 0; s < pool.concurrency(); ++s) EXPECT_NE(ctx.workspace, &pool.workspace(s));
+  });
+}
+
+TEST(ThreadPoolWarm, MarkRisesPerTypeAndSmallerWarmsReturnAtOnce) {
+  runtime::ThreadPool pool(3);
+  const auto grows = [&pool] {
+    std::vector<std::size_t> counts;
+    for (int s = 0; s < pool.concurrency(); ++s) counts.push_back(pool.workspace(s).grow_count());
+    return counts;
+  };
+  pool.warm_workspaces(1000, 0);
+  const auto after_float = grows();
+  // A larger double request keeps the float mark: nothing shrinks, and
+  // only the double slab grows.
+  pool.warm_workspaces(0, 2000);
+  const auto after_double = grows();
+  for (int s = 0; s < pool.concurrency(); ++s) {
+    EXPECT_EQ(after_double[static_cast<std::size_t>(s)],
+              after_float[static_cast<std::size_t>(s)] + 1)
+        << "slot " << s;
+    EXPECT_GE(pool.workspace(s).bytes(), 1000 * sizeof(float) + 2000 * sizeof(double));
+  }
+  // At or below both marks: the two-load fast path, no growth anywhere.
+  pool.warm_workspaces(1000, 2000);
+  pool.warm_workspaces(10, 20);
+  EXPECT_EQ(grows(), after_double);
+}
+
+TEST(ThreadPoolWarm, ConcurrentWarmsSerializeToTheLargestRequest) {
+  runtime::ThreadPool pool(4);
+  std::vector<std::thread> warmers;
+  for (int k = 1; k <= 4; ++k) {
+    warmers.emplace_back([&pool, k] {
+      pool.warm_workspaces(static_cast<std::size_t>(k) * 1000,
+                           static_cast<std::size_t>(5 - k) * 1000);
+    });
+  }
+  for (auto& t : warmers) t.join();
+  for (int s = 0; s < pool.concurrency(); ++s) {
+    EXPECT_GE(pool.workspace(s).bytes(), 4000 * sizeof(float) + 4000 * sizeof(double))
+        << "slot " << s;
+  }
+  const std::size_t before = pool.workspace(0).grow_count();
+  pool.run(8, [](int, runtime::TaskContext& ctx) {
+    ctx.arena<float>(4000).allocate(4000)[3999] = 1.0f;
+    ctx.arena<double>(4000).allocate(4000)[3999] = 1.0;
+  });
+  EXPECT_EQ(pool.workspace(0).grow_count(), before);
+}
+
+TEST(ThreadPoolWarm, GrowingWarmsInterleavedWithServedBatchesNeverRaceTasks) {
+  // A client streams batches whose tasks fill their whole arena while
+  // another thread keeps raising the warmed mark. Every growth must land
+  // between batches: a slab reallocated under a running task would show
+  // up as a wrong read-back here, or under the sanitizers.
+  runtime::ThreadPool pool(4);
+  std::atomic<int> bad{0};
+  std::thread client([&] {
+    for (int i = 0; i < 200; ++i) {
+      const std::size_t elems = 64 + static_cast<std::size_t>(i % 7) * 32;
+      const auto fill = [&, elems](int t, runtime::TaskContext& ctx) {
+        double* p = ctx.arena<double>(elems).allocate(elems);
+        for (std::size_t j = 0; j < elems; ++j) p[j] = static_cast<double>(t);
+        for (std::size_t j = 0; j < elems; ++j) {
+          if (p[j] != static_cast<double>(t)) bad.fetch_add(1);
+        }
+      };
+      pool.warm_workspaces(0, elems);
+      pool.submit(1 + i % 5, fill).get();
+    }
+  });
+  for (std::size_t mark = 256; mark < 256 + 100 * 64; mark += 64) {
+    pool.warm_workspaces(mark, mark);
+    std::this_thread::yield();
+  }
+  client.join();
+  EXPECT_EQ(bad.load(), 0);
 }
 
 // ---- Batch and shared-state recycling -----------------------------------
@@ -565,8 +908,8 @@ TEST(AtaSharedPool, SingleThreadPlanRunsInlineOnCaller) {
   api::execute(*plan, 1.0, a.const_view(), c.view(), &pool);
 
   EXPECT_EQ(pool.batches(), batches_before);
-  EXPECT_EQ(pool.numa_stats().total_executed(), 0u) << "a pool slot executed a task";
   for (int s = 0; s < pool.concurrency(); ++s) {
+    EXPECT_EQ(pool.scheduled_on_slot(s), 0u) << "slot " << s << " was handed a task";
     EXPECT_EQ(pool.workspace(s).grow_count(), 0u) << "slot " << s;
   }
   EXPECT_EQ(max_abs_diff_lower<double>(c.const_view(), c_serial.const_view()), 0.0);
@@ -641,6 +984,39 @@ TEST(AtaSharedPool, MoreThreadsThanColumnsStillCorrect) {
     EXPECT_EQ(max_abs_diff_lower<double>(c.const_view(), c_ref.const_view()), 0.0)
         << "engine " << static_cast<int>(engine);
   }
+}
+
+// ---- Served traffic over the pool's worker slots -------------------------
+
+TEST(ServerPlacement, ServedTrafficSpreadsOverWorkerSlots) {
+  // 4 slots: workers 0-2 and the caller slot 3. Queued batches go to the
+  // worker slots only, rotating the home of one-task batches, so served
+  // traffic never piles onto one slot.
+  api::Server server(api::Server::Options{.threads = 4, .plan_capacity = 4});
+  const index_t m = 64, n = 16;
+  const auto a = random_integer<double>(m, n, 2, 7);
+  auto c = Matrix<double>::zeros(n, n);
+  const api::AtaRequest<double> req{1.0, a.const_view(), c.view()};
+  for (int i = 0; i < 300; ++i) {
+    server.submit_batch<double>(std::span<const api::AtaRequest<double>>(&req, 1))[0].get();
+  }
+  EXPECT_EQ(scheduled(server.executor()), (std::vector<std::uint64_t>{100, 100, 100, 0}));
+
+  // An 8-stripe request splits 2/3/3 over worker slots 0-2.
+  const index_t big_m = 96, big_n = 80;
+  const auto big = random_integer<double>(big_m, big_n, 3, 11);
+  auto c_big = Matrix<double>::zeros(big_n, big_n);
+  SharedOptions so;
+  so.threads = 4;
+  so.oversub = 2;
+  so.recurse = tiny_base();
+  so.engine = LeafEngine::kStrassen;
+  server.submit(1.0, big.const_view(), c_big.view(), so).get();
+  EXPECT_EQ(scheduled(server.executor()), (std::vector<std::uint64_t>{102, 103, 103, 0}));
+
+  auto c_serial = Matrix<double>::zeros(big_n, big_n);
+  ata(1.0, big.const_view(), c_serial.view(), tiny_base());
+  EXPECT_EQ(max_abs_diff_lower<double>(c_big.const_view(), c_serial.const_view()), 0.0);
 }
 
 }  // namespace

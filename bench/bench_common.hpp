@@ -6,6 +6,8 @@
 // --scale so a laptop-class machine finishes in seconds; pass --scale 4 or
 // more to push toward the asymptotic regime on bigger hardware.
 
+#include <sched.h>
+
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -14,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "blas/kernels/registry.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
@@ -21,6 +24,27 @@
 #include "strassen/options.hpp"
 
 namespace atalib::bench {
+
+/// Shortest wall time of one sample (one JSON rate) tools/perf_gate.py gates.
+inline constexpr double kMinSampleSeconds = 0.25;
+
+struct Sample {
+  double seconds = 0;  // wall time of all passes
+  int passes = 0;
+};
+
+/// Runs `pass` (one pass over a timed stream) until kMinSampleSeconds passed.
+template <typename Pass>
+Sample timed_sample(Pass&& pass) {
+  Sample s;
+  Timer t;
+  do {
+    pass();
+    ++s.passes;
+  } while (t.seconds() < kMinSampleSeconds);
+  s.seconds = t.seconds();
+  return s;
+}
 
 /// Standard flags shared by every bench binary.
 inline void add_common_flags(CliFlags& flags) {
@@ -34,11 +58,13 @@ inline void add_common_flags(CliFlags& flags) {
 /// measured configuration, written next to the human table so the
 /// BENCH_*.json perf trajectory can diff runs across commits. Values are
 /// either numbers (num; non-finite doubles become null) or strings (str,
-/// escaped); keys must be plain identifiers.
+/// escaped); keys must be plain identifiers. Every record ends with the
+/// host stamp (see stamp()).
 class JsonWriter {
  public:
-  /// Empty path disables the writer; add()/flush() become no-ops.
-  explicit JsonWriter(std::string path) : path_(std::move(path)) {}
+  /// Empty path disables the writer; add()/flush() become no-ops. The
+  /// stamp is taken here, before a bench forces a dispatch path.
+  explicit JsonWriter(std::string path) : path_(std::move(path)), stamp_(stamp()) {}
 
   bool enabled() const { return !path_.empty(); }
 
@@ -82,11 +108,11 @@ class JsonWriter {
     bool first_ = true;
   };
 
-  /// Append one object. No-op when disabled.
+  /// Append one object, host stamp included. No-op when disabled.
   void add(const Record& r) {
     if (!enabled()) return;
     if (count_++ > 0) rows_ << ",\n";
-    rows_ << "  {" << r.os_.str() << "}";
+    rows_ << "  {" << r.os_.str() << ", " << stamp_.os_.str() << "}";
   }
 
   /// Write the array and report the path on stdout. Returns false (with a
@@ -106,7 +132,36 @@ class JsonWriter {
   }
 
  private:
+  /// Where a record was measured, as perfbench stamps it: CPU model, CPUs
+  /// this process may use, dispatched kernel per dtype, build type and the
+  /// configure-time git sha (defined by CMakeLists.txt). Not part of a
+  /// record's identity to tools/perf_gate.py.
+  static Record stamp() {
+    std::string model = "unknown";
+    std::ifstream in("/proc/cpuinfo");
+    for (std::string line; std::getline(in, line);) {
+      const auto colon = line.find(':');
+      if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+        model = line.substr(colon + 1);
+        model.erase(0, model.find_first_not_of(' '));
+        break;
+      }
+    }
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    const int nproc = sched_getaffinity(0, sizeof(set), &set) == 0 ? CPU_COUNT(&set) : 0;
+    Record r;
+    r.str("cpu_model", model)
+        .num("nproc", nproc)
+        .str("isa_f64", blas::kernels::active_config<double>().name)
+        .str("isa_f32", blas::kernels::active_config<float>().name)
+        .str("build_type", ATALIB_BUILD_TYPE)
+        .str("git_sha", ATALIB_GIT_SHA);
+    return r;
+  }
+
   std::string path_;
+  Record stamp_;
   std::ostringstream rows_;
   int count_ = 0;
 };

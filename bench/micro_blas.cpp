@@ -10,7 +10,9 @@
 // against: the register tile alone, in L1, at the configured KC. The
 // `served` syrk_ln records are the leaf calls the perfbench workloads make
 // (m x n inputs at fixed shapes, whatever --scale says), keyed by the
-// workload that serves them.
+// workload that serves them. Each rate is one sample of at least
+// bench::kMinSampleSeconds of back-to-back calls after one warm-up call,
+// long enough for tools/perf_gate.py to compare with the parent build.
 
 #include <cstdio>
 #include <map>
@@ -28,6 +30,15 @@ namespace {
 using namespace atalib;
 using blas::kernels::Isa;
 
+/// Seconds per call of `fn`: one untimed warm-up call, then the mean over
+/// a sample of at least bench::kMinSampleSeconds.
+template <typename Fn>
+double seconds_per_call(Fn&& fn) {
+  fn();
+  const bench::Sample s = bench::timed_sample(fn);
+  return s.seconds / s.passes;
+}
+
 struct Measurement {
   std::string bench;
   std::string dtype;
@@ -40,23 +51,23 @@ struct Measurement {
 };
 
 template <typename T>
-Measurement time_gemm_tn(const char* name, index_t n, int reps, const std::string& dispatch) {
+Measurement time_gemm_tn(const char* name, index_t n, const std::string& dispatch) {
   const auto a = random_uniform<T>(n, n, 1);
   const auto b = random_uniform<T>(n, n, 2);
   auto c = Matrix<T>::zeros(n, n);
   const double secs =
-      min_time_of([&] { blas::gemm_tn(T(1), a.const_view(), b.const_view(), c.view()); }, reps);
+      seconds_per_call([&] { blas::gemm_tn(T(1), a.const_view(), b.const_view(), c.view()); });
   const double flops = 2.0 * static_cast<double>(n) * n * n;
   return {name, sizeof(T) == 4 ? "f32" : "f64", n, secs, flops / secs / 1e9, dispatch};
 }
 
 template <typename T>
-Measurement time_gemm_nn(const char* name, index_t n, int reps, const std::string& dispatch) {
+Measurement time_gemm_nn(const char* name, index_t n, const std::string& dispatch) {
   const auto a = random_uniform<T>(n, n, 3);
   const auto b = random_uniform<T>(n, n, 4);
   auto c = Matrix<T>::zeros(n, n);
   const double secs =
-      min_time_of([&] { blas::gemm_nn(T(1), a.const_view(), b.const_view(), c.view()); }, reps);
+      seconds_per_call([&] { blas::gemm_nn(T(1), a.const_view(), b.const_view(), c.view()); });
   const double flops = 2.0 * static_cast<double>(n) * n * n;
   return {name, sizeof(T) == 4 ? "f32" : "f64", n, secs, flops / secs / 1e9, dispatch};
 }
@@ -65,12 +76,11 @@ Measurement time_gemm_nn(const char* name, index_t n, int reps, const std::strin
 // paper's syrk count). `served` names the perfbench workload that makes
 // this leaf call; empty for the square sweep (m == n).
 template <typename T>
-Measurement time_syrk(index_t m, index_t n, int reps, const std::string& dispatch,
+Measurement time_syrk(index_t m, index_t n, const std::string& dispatch,
                       const char* served = "") {
   const auto a = random_uniform<T>(m, n, 5);
   auto c = Matrix<T>::zeros(n, n);
-  const double secs =
-      min_time_of([&] { blas::syrk_ln(T(1), a.const_view(), c.view()); }, reps);
+  const double secs = seconds_per_call([&] { blas::syrk_ln(T(1), a.const_view(), c.view()); });
   const double flops = static_cast<double>(n) * n * m;
   return {"syrk_ln", sizeof(T) == 4 ? "f32" : "f64", n, secs, flops / secs / 1e9,
           dispatch, m, served};
@@ -81,7 +91,7 @@ Measurement time_syrk(index_t m, index_t n, int reps, const std::string& dispatc
 // no packing, no cache misses, only the register tile's k-loop and
 // writeback. n in the record is kc.
 template <typename T>
-Measurement time_microkernel(Isa isa, int reps, const std::string& dispatch) {
+Measurement time_microkernel(Isa isa, const std::string& dispatch) {
   const auto& cfg = blas::kernels::config_for<T>(isa);
   const index_t mr = cfg.uk.mr, nr = cfg.uk.nr, kc = cfg.blocks.kc;
   const auto a = random_uniform<T>(kc, mr, 6);
@@ -89,13 +99,11 @@ Measurement time_microkernel(Isa isa, int reps, const std::string& dispatch) {
   auto c = Matrix<T>::zeros(mr, nr);
   const double flops_per_call = 2.0 * static_cast<double>(mr) * nr * kc;
   const long calls = std::max(1L, static_cast<long>(2e8 / flops_per_call));
-  const double secs = min_time_of(
-      [&] {
-        for (long i = 0; i < calls; ++i) {
-          cfg.uk.fn(kc, T(1), a.data(), mr, b.data(), nr, c.data(), nr, mr, nr);
-        }
-      },
-      reps);
+  const double secs = seconds_per_call([&] {
+    for (long i = 0; i < calls; ++i) {
+      cfg.uk.fn(kc, T(1), a.data(), mr, b.data(), nr, c.data(), nr, mr, nr);
+    }
+  });
   return {"microkernel", sizeof(T) == 4 ? "f32" : "f64", kc, secs,
           flops_per_call * static_cast<double>(calls) / secs / 1e9, dispatch};
 }
@@ -104,10 +112,10 @@ Measurement time_microkernel(Isa isa, int reps, const std::string& dispatch) {
 
 int main(int argc, char** argv) {
   CliFlags flags;
-  atalib::bench::add_common_flags(flags);
+  flags.add_double("scale", 1.0, "size multiplier vs the built-in laptop defaults");
+  flags.add_string("json", "", "also write results as a JSON array to this path (\"\" = off)");
   if (!flags.parse(argc, argv)) return 1;
   const double scale = flags.get_double("scale");
-  const int reps = std::max(1, static_cast<int>(flags.get_int("reps")));
   atalib::bench::JsonWriter json(flags.get_string("json"));
 
   atalib::bench::print_banner(
@@ -123,7 +131,8 @@ int main(int argc, char** argv) {
                                    atalib::bench::scaled(256, scale),
                                    atalib::bench::scaled(512, scale)};
 
-  Table table("leaf kernels, min of " + std::to_string(reps) + " reps");
+  Table table("leaf kernels, mean over a sample of at least " +
+              Table::num(atalib::bench::kMinSampleSeconds, 2) + " s");
   table.set_header({"bench", "dtype", "n", "m", "ms", "GFLOP/s", "dispatch", "served"});
   std::map<std::string, double> gemm_tn_gflops;  // dispatch -> largest-size GFLOP/s
 
@@ -132,20 +141,20 @@ int main(int argc, char** argv) {
     blas::kernels::set_forced_isa(isa);
     const std::string dispatch = blas::kernels::isa_name(isa);
     for (const index_t n : sizes) {
-      const Measurement tn = time_gemm_tn<double>("gemm_tn", n, reps, dispatch);
+      const Measurement tn = time_gemm_tn<double>("gemm_tn", n, dispatch);
       if (n == sizes.back()) gemm_tn_gflops[dispatch] = tn.gflops;
       results.push_back(tn);
-      results.push_back(time_syrk<double>(n, n, reps, dispatch));
+      results.push_back(time_syrk<double>(n, n, dispatch));
     }
-    results.push_back(time_gemm_nn<double>("gemm_nn", sizes[1], reps, dispatch));
-    results.push_back(time_gemm_tn<float>("gemm_tn", sizes[1], reps, dispatch));
-    results.push_back(time_syrk<float>(sizes[1], sizes[1], reps, dispatch));
-    results.push_back(time_microkernel<double>(isa, reps, dispatch));
-    results.push_back(time_microkernel<float>(isa, reps, dispatch));
-    results.push_back(time_syrk<float>(2048, 256, reps, dispatch, "batch_tall"));
-    results.push_back(time_syrk<double>(256, 256, reps, dispatch, "gram_large"));
-    results.push_back(time_syrk<double>(512, 64, reps, dispatch, "serve_small"));
-    results.push_back(time_syrk<double>(256, 32, reps, dispatch, "serve_small"));
+    results.push_back(time_gemm_nn<double>("gemm_nn", sizes[1], dispatch));
+    results.push_back(time_gemm_tn<float>("gemm_tn", sizes[1], dispatch));
+    results.push_back(time_syrk<float>(sizes[1], sizes[1], dispatch));
+    results.push_back(time_microkernel<double>(isa, dispatch));
+    results.push_back(time_microkernel<float>(isa, dispatch));
+    results.push_back(time_syrk<float>(2048, 256, dispatch, "batch_tall"));
+    results.push_back(time_syrk<double>(256, 256, dispatch, "gram_large"));
+    results.push_back(time_syrk<double>(512, 64, dispatch, "serve_small"));
+    results.push_back(time_syrk<double>(256, 32, dispatch, "serve_small"));
   }
   blas::kernels::set_forced_isa(std::nullopt);
 

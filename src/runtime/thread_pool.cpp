@@ -23,6 +23,12 @@ thread_local int tl_inline_depth = 0;
 constexpr int kMaxIdleBatches = 256;
 constexpr int kBatchRefill = 8;
 
+/// Longest a parked worker sleeps before it re-checks the generation on
+/// its own. enqueue() wakes workers with notify_one, and a lost wake-up
+/// (a lost pthread_cond_signal) then costs at most this long instead of
+/// leaving the batch queued behind parked workers forever.
+constexpr auto kParkRecheck = std::chrono::milliseconds(10);
+
 /// Workspace for inline execution paths (re-entrant or one-task batches).
 /// Thread-local so concurrent inline clients never share arenas, and
 /// persistent so even the inline path reuses its slab across calls.
@@ -78,7 +84,7 @@ void ThreadPool::worker_main(int slot) {
   while (true) {
     while (!stop_ && generation_ == seen) {
       ++parked_;
-      work_cv_.wait(lk);
+      work_cv_.wait_for(lk, kParkRecheck);
       --parked_;
     }
     if (stop_) return;

@@ -380,42 +380,50 @@ TEST(ServerOverload, DeadlineSettlesOnlyAfterRunningStripeExits) {
     server.submit(1.0, a.const_view(), c0.view(), opts).get();
     if (rep > 0) full = std::min(full, Clock::now() - t0);
   }
-  const auto before = server.stats();
+  // On a loaded host the first stripe may not start before the deadline;
+  // the scenario is then retried whole, and skipped only if it never ran.
+  constexpr int kAttempts = 5;
+  for (int attempt = 0; attempt < kAttempts; ++attempt) {
+    const auto before = server.stats();
 
-  WorkerBlocker blocker;
-  blocker.install(server.executor());
-  auto c = Matrix<double>::zeros(512, 512);
-  auto dopts = opts;
-  dopts.deadline = Clock::now() + full / 4;
-  auto fut = server.submit(1.0, a.const_view(), c.view(), dopts);
-  // A unit records queue-wait only when it starts before the deadline.
-  bool started = false;
-  while (!started && Clock::now() < dopts.deadline) {
-    started = server.stats().queue_wait.count != before.queue_wait.count;
-    std::this_thread::yield();
-  }
-  if (!started) {
-    blocker.release();
-    blocker.done.get();
-    // The request's stripes read `a` and write `c`, which die before the
-    // server does: let it settle and retire before returning.
+    WorkerBlocker blocker;
+    blocker.install(server.executor());
+    auto c = Matrix<double>::zeros(512, 512);
+    auto dopts = opts;
+    dopts.deadline = Clock::now() + full / 4;
+    auto fut = server.submit(1.0, a.const_view(), c.view(), dopts);
+    // A unit records queue-wait only when it starts before the deadline.
+    bool started = false;
+    while (!started && Clock::now() < dopts.deadline) {
+      started = server.stats().queue_wait.count != before.queue_wait.count;
+      std::this_thread::yield();
+    }
+    if (!started) {
+      blocker.release();
+      blocker.done.get();
+      // The request's stripes read `a` and write `c`, which die before the
+      // server does: let it settle and retire before trying again.
+      fut.wait();
+      wait_drained(server);
+      continue;
+    }
+    std::this_thread::sleep_until(dopts.deadline);
+    blocker.release();  // the held stripe now runs, sees the deadline, skips
+
     fut.wait();
+    const auto at_ready = c.clone();
+    blocker.done.get();
     wait_drained(server);
-    GTEST_SKIP() << "the first stripe did not start before the deadline";
+    EXPECT_THROW(fut.get(), api::DeadlineExceeded);
+    EXPECT_EQ(max_abs_diff<double>(at_ready.const_view(), c.const_view()), 0.0)
+        << "C changed after the future settled: a stripe was still writing it";
+    const auto after = server.stats();
+    EXPECT_EQ(after.deadline_expired - before.deadline_expired, 1u);
+    EXPECT_EQ(after.completed, before.completed);
+    return;
   }
-  std::this_thread::sleep_until(dopts.deadline);
-  blocker.release();  // the held stripe now runs, sees the deadline, skips
-
-  fut.wait();
-  const auto at_ready = c.clone();
-  blocker.done.get();
-  wait_drained(server);
-  EXPECT_THROW(fut.get(), api::DeadlineExceeded);
-  EXPECT_EQ(max_abs_diff<double>(at_ready.const_view(), c.const_view()), 0.0)
-      << "C changed after the future settled: a stripe was still writing it";
-  const auto after = server.stats();
-  EXPECT_EQ(after.deadline_expired - before.deadline_expired, 1u);
-  EXPECT_EQ(after.completed, before.completed);
+  GTEST_SKIP() << "the first stripe did not start before the deadline in " << kAttempts
+               << " attempts";
 }
 
 TEST(ServerOverload, ShedOldestFreesCapacityForNewWork) {

@@ -1,262 +1,154 @@
 #!/usr/bin/env python3
-"""Enforced warm-path perf gate (DESIGN.md §10).
+"""Paired perf gate (DESIGN.md §10): a change against its parent build.
 
-Compares freshly measured bench JSON against the committed baselines
-(BENCH_serve.json, BENCH_blas.json) and FAILS — nonzero exit — when any
-warm-path record regressed by more than --max-regress after machine-speed
-normalization. Run the bench with the SAME flags the committed baseline
-was generated with, so record keys intersect:
+    python3 tools/perf_gate.py SAMPLES --run PARENT_BUILD CHANGE_BUILD
 
-    ./build/serve_throughput --threads 4 --json /tmp/serve.json
-    ./build/micro_blas --json /tmp/blas.json
-    python3 tools/perf_gate.py BENCH_serve.json:/tmp/serve.json \
-                               BENCH_blas.json:/tmp/blas.json
+runs the serving and leaf-kernel benches of both builds on this host,
+PAIRS times each, in ABBA order (pair 0 runs the parent first, pair 1 the
+change first, ...), saves every run as SAMPLES/BENCH.SIDE.PAIR.json and
+gates them; `perf_gate.py SAMPLES` gates runs saved earlier.
 
-Noise. Small-request serving rates (f64 batched updates especially)
-swing 30-40% run to run, so a single sample on either side of the
-comparison would flake a 20% gate. Two defenses:
+A record is keyed by its identity fields (phase, dtype, shape, batch,
+clients, ...; not the host stamp) and measured by its rate ('gflops' if
+present, else 'req_per_sec'; higher is better). Each pair gives a key one
+change/parent ratio. A key FAILS (nonzero exit) when the median of its
+ratios and the upper end of the median's one-sided (1 - ALPHA) sign-test
+interval both lie below FLOOR. The interval is exact whatever the noise:
+a key whose true median ratio is FLOOR or more fails with probability
+under ALPHA, and an unchanged key fails only if nearly every pair falls
+below FLOOR. Both sides ran on the same host, so nothing is normalized:
+a uniform slowdown fails like any other.
 
-  * A pair may list several CURRENT files (BASELINE:CUR1:CUR2:...);
-    the gate takes the BEST rate per key across them. Run the bench
-    twice in CI — a path is only flagged when it can't hit the
-    baseline in any attempt.
-  * Baselines should be the per-key MEDIAN of several runs, not one
-    lucky sample. `--merge-median OUT RUN1.json RUN2.json ...`
-    regenerates a baseline that way (identity fields must match
-    across runs; every numeric metric field is medianed). The merge
-    also stamps each record with its observed replication noise,
-    noise_floor = min(rate)/median(rate) across the baseline runs.
-  * A key whose own baseline replication varies more than the gate
-    threshold cannot be gated at that threshold: when noise_floor <
-    --noise-cutoff (default 0.9) the key is EXCLUDED and reported as
-    skipped — never silently. Stable keys keep the strict floor.
-
-Method. Every record is keyed by its identity fields (phase, dtype, shape,
-batch, clients, ...) and measured by its rate metric ('gflops' when
-present, else 'req_per_sec' — higher is better). For each key present in
-both baseline and current, the gate computes ratio = current / baseline.
-The MEDIAN ratio over all keys is taken as the machine-speed factor (CI
-runners are not the machine the baseline was recorded on), and each key's
-normalized ratio = ratio / median is compared against 1 - max_regress.
-
-This catches the regression class a code change causes: one path (a
-kernel, the batched stream, the serving warm loop) getting slower
-RELATIVE to the rest of the suite. A perfectly uniform slowdown of every
-record is indistinguishable from a slower machine and is absorbed by the
-normalization — that is the price of running on heterogeneous CI
-hardware, and it is why the baselines are regenerated (and eyeballed)
-whenever a PR intentionally shifts the perf envelope.
-
-Baseline keys with no match in any current file (a renamed or dropped
-bench row, or an ISA tier this runner lacks, e.g. the avx512 rows of
-BENCH_blas.json) are not gated but listed by name, so a rename cannot
-quietly take a row out of the gate.
-
-Cold and overload phases are excluded: cold pays one-off plan builds, and
-the overload phase's completed/sec depends on the admission mix, not on
-warm-path speed. Records without a rate metric (counter records) are
-skipped.
+Parent keys the change did not measure (a renamed or dropped row) are
+listed by name, not gated. Cold and overload phases are not gated
+(one-off plan builds; the admission mix), nor are records without a
+rate.
 """
 
 import argparse
 import json
+import math
+import os
 import statistics
+import subprocess
 import sys
+import time
 
-# Fields that carry measurements or run-dependent counters; everything
-# else identifies the record.
-METRIC_FIELDS = frozenset({
+PAIRS = 8     # parent/change run pairs per bench
+FLOOR = 0.8   # a key fails when its change/parent rate is below this ...
+ALPHA = 0.05  # ... beyond the median's (1 - ALPHA) sign-test interval
+
+BENCHES = {"serve": ["serve_throughput", "--threads", "4"], "blas": ["micro_blas"]}
+SIDES = ("parent", "change")
+# Measurements and run-dependent counters, and the host stamp
+# (bench/bench_common.hpp), which a parent build may predate.
+NOT_IDENTITY = frozenset({
     "req_per_sec", "mean_ms", "mean_us", "gflops", "seconds",
     "cache_hits", "cache_misses", "schedule_builds", "workspace_grows",
-    "thread_pack_allocs", "plan_misses",
-    "offered", "completed", "rejected", "shed", "deadline_expired",
-    "completed_per_sec", "admission_wait_p99_us", "queue_wait_p99_us",
-    "compute_p99_us", "speedup", "noise_floor",
-    # runtime_pool (BENCH_pool.json)
-    "min_ms", "calls_per_s", "local_steals", "remote_steals", "steal_locality",
-    # fig4_sequential_strassen (BENCH_strassen.json)
-    "eff_gflops",
+    "thread_pack_allocs", "plan_misses", "offered", "completed", "rejected",
+    "shed", "deadline_expired", "completed_per_sec", "admission_wait_p99_us",
+    "queue_wait_p99_us", "compute_p99_us",
+    "cpu_model", "nproc", "isa_f64", "isa_f32", "build_type", "git_sha",
 })
-
-# Phases whose rates are not warm-path statements (see module docstring).
 SKIP_PHASES = frozenset({"cold", "overload", "batched_warm_counters"})
 
 
-def rate_metric(rec):
-    if "gflops" in rec:
-        return "gflops"
-    if "req_per_sec" in rec:
-        return "req_per_sec"
-    return None
-
-
 def load_rates(path):
-    """{identity key: (rate, noise_floor)} for every gated record in a
-    bench JSON file. noise_floor is 1.0 unless the file is a merged
-    baseline that recorded one."""
-    with open(path) as f:
-        records = json.load(f)
+    """{identity key: rate} for every gated record in a bench JSON file."""
     rates = {}
-    for rec in records:
-        if rec.get("phase") in SKIP_PHASES:
-            continue
-        metric = rate_metric(rec)
-        if metric is None:
-            continue
-        key = tuple(sorted((k, v) for k, v in rec.items()
-                           if k not in METRIC_FIELDS))
-        rates[key] = (float(rec[metric]), float(rec.get("noise_floor", 1.0)))
+    with open(path) as f:
+        for rec in json.load(f):
+            metric = "gflops" if "gflops" in rec else "req_per_sec"
+            if rec.get("phase") not in SKIP_PHASES and metric in rec:
+                key = tuple(sorted((k, v) for k, v in rec.items() if k not in NOT_IDENTITY))
+                rates[key] = float(rec[metric])
     return rates
 
 
-def describe(key):
-    return " ".join(f"{k}={v}" for k, v in key)
+def describe(bench, key):
+    return f"[{bench}] " + " ".join(f"{k}={v}" for k, v in key)
 
 
-def merge_median(out_path, run_paths):
-    """Write per-key medians of every metric field across bench runs.
+def sample_path(samples, bench, side, pair):
+    return os.path.join(samples, f"{bench}.{side}.{pair}.json")
 
-    Record order and identity fields come from the first run; a key
-    missing from any later run is a hard error (the runs were not
-    generated with the same flags).
-    """
-    runs = []
-    for path in run_paths:
-        with open(path) as f:
-            records = json.load(f)
-        by_key = {}
-        for rec in records:
-            key = tuple(sorted((k, v) for k, v in rec.items()
-                               if k not in METRIC_FIELDS))
-            by_key[key] = rec
-        runs.append((path, records, by_key))
 
-    first_path, first_records, _ = runs[0]
-    merged = []
-    for rec in first_records:
-        key = tuple(sorted((k, v) for k, v in rec.items()
-                           if k not in METRIC_FIELDS))
-        samples = []
-        for path, _, by_key in runs:
-            if key not in by_key:
-                print(f"perf gate: FAIL — record {describe(key)} from "
-                      f"{first_path} missing in {path}; rerun with "
-                      f"matching flags", file=sys.stderr)
+def run(samples, builds):
+    os.makedirs(samples, exist_ok=True)
+    for pair in range(PAIRS):
+        for bench, argv in BENCHES.items():
+            for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                out = sample_path(samples, bench, side, pair)
+                cmd = [os.path.join(builds[side], argv[0])] + argv[1:] + ["--json", out]
+                start = time.monotonic()
+                proc = subprocess.run(cmd, capture_output=True, text=True)
+                if proc.returncode != 0:
+                    print(proc.stdout + proc.stderr, file=sys.stderr)
+                    print(f"perf gate: FAIL — {' '.join(cmd)} exited "
+                          f"{proc.returncode}", file=sys.stderr)
+                    return False
+                print(f"perf gate: pair {pair + 1}/{PAIRS} {bench} {side}: "
+                      f"{time.monotonic() - start:.1f} s", flush=True)
+    return True
+
+
+def gate(samples):
+    ratios = {}  # (bench, key) -> change/parent per pair
+    named = []   # (label, bench, key) listed but not gated
+    for bench in BENCHES:
+        for pair in range(PAIRS):
+            paths = [sample_path(samples, bench, side, pair) for side in SIDES]
+            if not all(map(os.path.exists, paths)):
+                print(f"perf gate: FAIL — {paths} missing; the gate needs "
+                      f"{PAIRS} pairs per bench", file=sys.stderr)
                 return 1
-            samples.append(by_key[key])
-        out = dict(rec)
-        for field in rec:
-            if field in METRIC_FIELDS:
-                out[field] = statistics.median(float(s[field])
-                                               for s in samples)
-        metric = rate_metric(rec)
-        if metric is not None and len(samples) > 1:
-            vals = [float(s[metric]) for s in samples]
-            med = statistics.median(vals)
-            out["noise_floor"] = round(min(vals) / med, 4) if med > 0 else 1.0
-        merged.append(out)
-    with open(out_path, "w") as f:
-        json.dump(merged, f, indent=1)
-        f.write("\n")
-    print(f"perf gate: wrote {len(merged)} median-of-{len(runs)} records "
-          f"to {out_path}")
-    return 0
+            parent, change = map(load_rates, paths)
+            named += [("unmatched (parent only)", bench, k) for k in parent.keys() - change.keys()]
+            for key in parent.keys() & change.keys():
+                ratios.setdefault((bench, key), []).append(change[key] / parent[key])
+    named += [("unmatched (some pairs)", b, k) for (b, k), rs in ratios.items() if len(rs) < PAIRS]
+    # A failing key has at most `above` of PAIRS ratios at or above FLOOR:
+    # the largest s with P(Binomial(PAIRS, 1/2) <= s) <= ALPHA.
+    above = -1
+    while math.fsum(math.comb(PAIRS, i) for i in range(above + 2)) / 2 ** PAIRS <= ALPHA:
+        above += 1
+    rows = []
+    for (bench, key), rs in ratios.items():
+        if len(rs) == PAIRS:
+            rs.sort()
+            upper = rs[PAIRS - 1 - above] if above >= 0 else math.inf
+            rows.append((statistics.median(rs), upper, bench, key))
+    rows.sort()
+    failures = [r for r in rows if r[0] < FLOOR and r[1] < FLOOR]
 
-
-def main():
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("pairs", nargs="+", metavar="BASELINE:CURRENT[:CURRENT...]",
-                    help="committed baseline JSON and one or more freshly "
-                         "measured JSON files (best rate per key is gated)")
-    ap.add_argument("--merge-median", metavar="OUT",
-                    help="instead of gating, merge the positional args "
-                         "(plain JSON paths, no colons) into OUT taking the "
-                         "per-key median of every metric field")
-    ap.add_argument("--max-regress", type=float, default=0.20,
-                    help="fail when a normalized rate drops more than this "
-                         "fraction below baseline (default 0.20)")
-    ap.add_argument("--min-keys", type=int, default=3,
-                    help="fail unless at least this many record keys "
-                         "intersect across all pairs (default 3)")
-    ap.add_argument("--noise-cutoff", type=float, default=0.9,
-                    help="exclude keys whose baseline noise_floor is below "
-                         "this — their own replication noise exceeds the "
-                         "gate threshold (default 0.9)")
-    args = ap.parse_args()
-
-    if args.merge_median:
-        return merge_median(args.merge_median, args.pairs)
-
-    ratios = {}  # identity key (with file tag) -> current/baseline
-    skipped_noisy = []
-    unmatched = []  # baseline keys (with file tag) absent from every current file
-    for pair in args.pairs:
-        parts = pair.split(":")
-        if len(parts) < 2:
-            ap.error(f"expected BASELINE:CURRENT[:CURRENT...], got '{pair}'")
-        base_path, cur_paths = parts[0], parts[1:]
-        base = load_rates(base_path)
-        cur = {}  # best (highest) observed rate per key across current runs
-        for cur_path in cur_paths:
-            for key, (rate, _) in load_rates(cur_path).items():
-                cur[key] = max(rate, cur.get(key, 0.0))
-        shared = base.keys() & cur.keys()
-        unmatched.extend((base_path,) + key for key in base.keys() - cur.keys())
-        if not shared:
-            print(f"perf gate: FAIL — no intersecting records between "
-                  f"{base_path} and {':'.join(cur_paths)}; run the bench "
-                  f"with the baseline's flags", file=sys.stderr)
-            return 1
-        for key in shared:
-            rate, noise = base[key]
-            if rate <= 0:
-                continue
-            if noise < args.noise_cutoff:
-                skipped_noisy.append(((base_path,) + key, noise))
-                continue
-            ratios[(base_path,) + key] = cur[key] / rate
-
-    if len(ratios) < args.min_keys:
-        print(f"perf gate: FAIL — only {len(ratios)} intersecting records "
-              f"(need {args.min_keys}); baselines are stale", file=sys.stderr)
-        return 1
-
-    machine = statistics.median(ratios.values())
-    floor = 1.0 - args.max_regress
-    failures = []
-    for key, ratio in sorted(ratios.items(), key=lambda kv: kv[1]):
-        normalized = ratio / machine
-        if normalized < floor:
-            failures.append((key, ratio, normalized))
-
-    print(f"perf gate: {len(ratios)} records compared, machine-speed "
-          f"factor {machine:.3f}, floor {floor:.2f} (normalized)")
-    if skipped_noisy:
-        print(f"perf gate: {len(skipped_noisy)} key(s) excluded — baseline "
-              f"replication noise below cutoff {args.noise_cutoff:.2f}:")
-        for key, noise in sorted(skipped_noisy, key=lambda kv: kv[1]):
-            print(f"  skipped (noise_floor {noise:.3f}): "
-                  f"{describe(key[1:])} [{key[0]}]")
-    if unmatched:
-        print(f"perf gate: {len(unmatched)} baseline key(s) matched no current "
-              f"record and are not gated:")
-        for key in sorted(unmatched, key=str):
-            print(f"  unmatched: {describe(key[1:])} [{key[0]}]")
-    worst = sorted(ratios.items(), key=lambda kv: kv[1])[:5]
-    for key, ratio in worst:
-        print(f"  slowest: {ratio / machine:6.3f}x normalized "
-              f"({ratio:6.3f}x raw)  {describe(key[1:])} [{key[0]}]")
-
-    if failures:
-        print(f"perf gate: FAIL — {len(failures)} warm-path record(s) "
-              f"regressed more than {args.max_regress:.0%}:", file=sys.stderr)
-        for key, ratio, normalized in failures:
-            print(f"  {normalized:6.3f}x normalized ({ratio:6.3f}x raw)  "
-                  f"{describe(key[1:])} [{key[0]}]", file=sys.stderr)
+    print(f"perf gate: {len(rows)} keys over {PAIRS} pairs; a key fails when its "
+          f"median change/parent ratio and the median's {1 - ALPHA:.0%} "
+          f"sign-test upper bound are below {FLOOR:.2f}")
+    for label, bench, key in sorted(set(named), key=str):
+        print(f"  {label}, not gated: {describe(bench, key)}")
+    for median, upper, bench, key in rows[:5]:
+        print(f"  slowest: median {median:6.3f}x, upper bound {upper:6.3f}x  {describe(bench, key)}")
+    if not rows or failures:
+        print(f"perf gate: FAIL — {len(failures)} key(s) regressed more than "
+              f"{1 - FLOOR:.0%}{'' if rows else '; no key was gated'}", file=sys.stderr)
+        for median, upper, bench, key in failures:
+            print(f"  median {median:6.3f}x, upper bound {upper:6.3f}x  {describe(bench, key)}",
+                  file=sys.stderr)
         return 1
     print("perf gate: PASS")
     return 0
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("samples", help="directory of BENCH.SIDE.PAIR.json runs")
+    ap.add_argument("--run", nargs=2, metavar=("PARENT_BUILD", "CHANGE_BUILD"),
+                    help="first run both builds' benches into SAMPLES")
+    args = ap.parse_args(argv)
+    if args.run and not run(args.samples, dict(zip(SIDES, args.run))):
+        return 1
+    return gate(args.samples)
 
 
 if __name__ == "__main__":

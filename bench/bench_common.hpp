@@ -139,13 +139,9 @@ class JsonWriter {
   static Record stamp() {
     std::string model = "unknown";
     std::ifstream in("/proc/cpuinfo");
-    for (std::string line; std::getline(in, line);) {
-      const auto colon = line.find(':');
-      if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
-        model = line.substr(colon + 1);
-        model.erase(0, model.find_first_not_of(' '));
-        break;
-      }
+    for (std::string line; model == "unknown" && std::getline(in, line);) {
+      const auto at = line.find_first_not_of(' ', line.find(':') + 1);
+      if (line.rfind("model name", 0) == 0 && at != std::string::npos) model = line.substr(at);
     }
     cpu_set_t set;
     CPU_ZERO(&set);

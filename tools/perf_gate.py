@@ -3,54 +3,46 @@
 
     python3 tools/perf_gate.py SAMPLES --run PARENT_BUILD CHANGE_BUILD
 
-runs the serving and leaf-kernel benches of both builds on this host,
-PAIRS times each, in ABBA order (pair 0 runs the parent first, pair 1 the
-change first, ...), saves every run as SAMPLES/BENCH.SIDE.PAIR.json and
+discards one serve run (the first process after an idle spell runs up to
+2x slow), then runs the serving and leaf-kernel benches of both builds
+PAIRS times each in ABBA order (pair 0 runs the parent first, pair 1 the
+change first, ...), saves each run as SAMPLES/BENCH.SIDE.PAIR.json and
 gates them; `perf_gate.py SAMPLES` gates runs saved earlier.
 
-A record is keyed by its identity fields (phase, dtype, shape, batch,
-clients, ...; not the host stamp) and measured by its rate ('gflops' if
-present, else 'req_per_sec'; higher is better). Each pair gives a key one
-change/parent ratio. A key FAILS (nonzero exit) when the median of its
-ratios and the upper end of the median's one-sided (1 - ALPHA) sign-test
-interval both lie below FLOOR. The interval is exact whatever the noise:
-a key whose true median ratio is FLOOR or more fails with probability
-under ALPHA, and an unchanged key fails only if nearly every pair falls
-below FLOOR. Both sides ran on the same host, so nothing is normalized:
-a uniform slowdown fails like any other.
-
-Parent keys the change did not measure (a renamed or dropped row) are
-listed by name, not gated. Cold and overload phases are not gated
-(one-off plan builds; the admission mix), nor are records without a
-rate.
+A record is keyed by its identity fields (not its measurements or host
+stamp) and measured by its rate ('gflops' if present, else 'req_per_sec').
+Each pair gives a key one change/parent ratio. Sorted, the ratios from the
+(PAIRS - FAIL_BELOW + 1)-th to the FAIL_BELOW-th span the median's
+sign-test interval; with 10 pairs each end errs with probability 56/1024
+(5.5%). A key FAILS (nonzero exit) when the interval lies below FLOOR, so
+when at least FAIL_BELOW ratios, and the median, do. A key whose interval
+holds FLOOR is listed as unresolved. Both sides ran on the same host, so
+nothing is normalized. Parent keys the change lacks are listed by name.
+Cold and overload phases (one-off plan builds; the admission mix) are not
+gated.
 """
 
 import argparse
 import json
-import math
 import os
 import statistics
 import subprocess
 import sys
 import time
 
-PAIRS = 8     # parent/change run pairs per bench
-FLOOR = 0.8   # a key fails when its change/parent rate is below this ...
-ALPHA = 0.05  # ... beyond the median's (1 - ALPHA) sign-test interval
+PAIRS = 10       # parent/change run pairs per bench
+FAIL_BELOW = 8   # a key fails when this many of its change/parent ratios ...
+FLOOR = 0.8      # ... are below this
 
 BENCHES = {"serve": ["serve_throughput", "--threads", "4"], "blas": ["micro_blas"]}
 SIDES = ("parent", "change")
-# Measurements and run-dependent counters, and the host stamp
-# (bench/bench_common.hpp), which a parent build may predate.
+# Measurements, and the host stamp (bench/bench_common.hpp), which a parent
+# build may predate. Counter-only records carry no rate and are not gated.
 NOT_IDENTITY = frozenset({
-    "req_per_sec", "mean_ms", "mean_us", "gflops", "seconds",
-    "cache_hits", "cache_misses", "schedule_builds", "workspace_grows",
-    "thread_pack_allocs", "plan_misses", "offered", "completed", "rejected",
-    "shed", "deadline_expired", "completed_per_sec", "admission_wait_p99_us",
-    "queue_wait_p99_us", "compute_p99_us",
+    "req_per_sec", "mean_ms", "mean_us", "gflops", "seconds", "cache_hits", "cache_misses",
     "cpu_model", "nproc", "isa_f64", "isa_f32", "build_type", "git_sha",
 })
-SKIP_PHASES = frozenset({"cold", "overload", "batched_warm_counters"})
+SKIP_PHASES = frozenset({"cold", "overload"})
 
 
 def load_rates(path):
@@ -75,6 +67,8 @@ def sample_path(samples, bench, side, pair):
 
 def run(samples, builds):
     os.makedirs(samples, exist_ok=True)
+    argv = BENCHES["serve"]
+    subprocess.run([os.path.join(builds["parent"], argv[0])] + argv[1:], capture_output=True)
     for pair in range(PAIRS):
         for bench, argv in BENCHES.items():
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
@@ -107,36 +101,35 @@ def gate(samples):
             for key in parent.keys() & change.keys():
                 ratios.setdefault((bench, key), []).append(change[key] / parent[key])
     named += [("unmatched (some pairs)", b, k) for (b, k), rs in ratios.items() if len(rs) < PAIRS]
-    # A failing key has at most `above` of PAIRS ratios at or above FLOOR:
-    # the largest s with P(Binomial(PAIRS, 1/2) <= s) <= ALPHA.
-    above = -1
-    while math.fsum(math.comb(PAIRS, i) for i in range(above + 2)) / 2 ** PAIRS <= ALPHA:
-        above += 1
-    rows = []
+    rows = []  # (median, sign-test interval low, high, bench, key)
     for (bench, key), rs in ratios.items():
         if len(rs) == PAIRS:
             rs.sort()
-            upper = rs[PAIRS - 1 - above] if above >= 0 else math.inf
-            rows.append((statistics.median(rs), upper, bench, key))
+            rows.append((statistics.median(rs), rs[PAIRS - FAIL_BELOW], rs[FAIL_BELOW - 1],
+                         bench, key))
     rows.sort()
-    failures = [r for r in rows if r[0] < FLOOR and r[1] < FLOOR]
+    failures = [r for r in rows if r[2] < FLOOR]
+    unresolved = [r for r in rows if r[1] < FLOOR <= r[2]]
 
-    print(f"perf gate: {len(rows)} keys over {PAIRS} pairs; a key fails when its "
-          f"median change/parent ratio and the median's {1 - ALPHA:.0%} "
-          f"sign-test upper bound are below {FLOOR:.2f}")
+    print(f"perf gate: {len(rows)} keys over {PAIRS} pairs; a key fails when "
+          f"{FAIL_BELOW} of its change/parent ratios are below {FLOOR:.2f}")
     for label, bench, key in sorted(set(named), key=str):
         print(f"  {label}, not gated: {describe(bench, key)}")
-    for median, upper, bench, key in rows[:5]:
-        print(f"  slowest: median {median:6.3f}x, upper bound {upper:6.3f}x  {describe(bench, key)}")
+    for row in unresolved:
+        print(f"  unresolved: {show(row)}")
     if not rows or failures:
         print(f"perf gate: FAIL — {len(failures)} key(s) regressed more than "
               f"{1 - FLOOR:.0%}{'' if rows else '; no key was gated'}", file=sys.stderr)
-        for median, upper, bench, key in failures:
-            print(f"  median {median:6.3f}x, upper bound {upper:6.3f}x  {describe(bench, key)}",
-                  file=sys.stderr)
+        for row in failures:
+            print(f"  {show(row)}", file=sys.stderr)
         return 1
-    print("perf gate: PASS")
+    print(f"perf gate: PASS ({len(unresolved)} unresolved)")
     return 0
+
+
+def show(row):
+    median, low, high, bench, key = row
+    return f"median {median:6.3f}x, interval {low:6.3f}-{high:6.3f}x  {describe(bench, key)}"
 
 
 def main(argv=None):

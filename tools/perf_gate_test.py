@@ -65,6 +65,7 @@ class PairedGate(unittest.TestCase):
         self.assertEqual(code, 0, out)
         self.assertIn("4 keys", out)  # cold and overload are not gated
         self.assertNotIn("not gated", out)
+        self.assertIn("PASS (0 unresolved)", out)
 
     def test_key_25_percent_slower_in_every_pair_fails_by_name(self):
         code, out = gate(change=lambda rec, pair: 0.75 if is_warm(rec) else 1.0)
@@ -74,6 +75,13 @@ class PairedGate(unittest.TestCase):
     def test_single_outlier_pair_passes(self):
         code, out = gate(change=lambda rec, pair: 0.4 if is_warm(rec) and pair == 3 else 1.0)
         self.assertEqual(code, 0, out)
+
+    def test_high_jitter_key_passes_as_unresolved_by_name(self):
+        swing = [1.3, 0.6, 1.1, 0.62, 1.2, 0.65, 1.0, 0.9, 0.64, 1.05]
+        code, out = gate(change=lambda rec, pair: swing[pair] if is_warm(rec) else 1.0)
+        self.assertEqual(code, 0, out)
+        self.assertRegex(out, r"unresolved: median .*interval +0\.6\d+- *1\.\d+x .*phase=warm")
+        self.assertIn("PASS (1 unresolved)", out)
 
     def test_key_missing_on_change_side_is_named(self):
         code, out = gate(drop=is_warm)

@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
   flags.add_int("n", 1024, "square matrix size");
   if (!flags.parse(argc, argv)) return 1;
   const double scale = flags.get_double("scale");
-  const int reps = static_cast<int>(flags.get_int("reps"));
   const index_t n = bench::scaled(flags.get_int("n"), scale);
   bench::JsonWriter json(flags.get_string("json"));
 
@@ -33,28 +32,32 @@ int main(int argc, char** argv) {
   const index_t probed = static_cast<index_t>(default_base_case_elements(sizeof(double)));
 
   Table table("Base-case threshold vs AtA runtime (n = " + std::to_string(n) + ")");
-  table.set_header({"threshold (elems)", "vs cache-probed", "time (s)", "EG (r=1)"});
+  table.set_header({"threshold (elems)", "vs cache-probed", "time (s)", "EG (r=1)",
+                    "probed/this", "interval"});
 
   std::vector<index_t> thresholds{index_t(1) << 8,  index_t(1) << 10, index_t(1) << 12,
                                   index_t(1) << 14, probed,           index_t(1) << 18,
                                   index_t(1) << 20, index_t(1) << 24};
 
+  const auto run = [&](const RecurseOptions& recurse) {
+    fill_view(c.view(), 0.0);
+    ata(1.0, a.const_view(), c.view(), recurse);
+  };
+  RecurseOptions probed_opts;
+  probed_opts.base_case_elements = probed;
   for (index_t threshold : thresholds) {
     RecurseOptions recurse;
     recurse.base_case_elements = threshold;
-    const double t = min_time_of(
-        [&] {
-          fill_view(c.view(), 0.0);
-          ata(1.0, a.const_view(), c.view(), recurse);
-        },
-        reps);
+    const bench::Paired p =
+        bench::time_pair([&] { run(recurse); }, [&] { run(probed_opts); });
     std::string label = threshold == probed
                             ? "probed default"
                             : Table::num(static_cast<double>(threshold) /
                                              static_cast<double>(probed),
                                          3);
-    const double eg = metrics::effective_gflops(1.0, n, n, n, t);
-    table.add_row({std::to_string(threshold), label, Table::num(t), Table::num(eg, 2)});
+    const double eg = metrics::effective_gflops(1.0, n, n, n, p.a);
+    table.add_row({std::to_string(threshold), label, Table::num(p.a), Table::num(eg, 2),
+                   Table::num(p.median, 3), bench::interval_cell(p)});
 
     bench::JsonWriter::Record rec;
     rec.str("bench", "ablation_basecase")
@@ -62,13 +65,14 @@ int main(int argc, char** argv) {
         .num("n", static_cast<std::uint64_t>(n))
         .num("threshold", static_cast<std::uint64_t>(threshold))
         .str("label", threshold == probed ? "probed" : "swept")
-        .num("seconds", t)
+        .paired(p)
+        .num("seconds", p.a)
         .num("eff_gflops", eg);
     json.add(rec);
   }
   table.print();
   std::printf("shape check: runtime is U-shaped in the threshold; the probed default\n"
-              "(%ld elements) should be at or near the minimum.\n",
+              "(%ld elements) should be at or near the minimum (probed/this <= ~1).\n",
               static_cast<long>(probed));
   return json.flush() ? 0 : 1;
 }

@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
   bench::add_common_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
   const double scale = flags.get_double("scale");
-  const int reps = static_cast<int>(flags.get_int("reps"));
   RecurseOptions recurse = bench::recurse_from_flags(flags);
   // Force deep recursion so allocation traffic is visible even at scaled
   // sizes (with cache-sized base cases only 2-3 levels recurse).
@@ -31,8 +30,8 @@ int main(int argc, char** argv) {
   bench::print_banner("Strassen workspace strategy: arena vs per-level allocation", "§3.3");
 
   Table table("Arena pre-allocation ablation (C += A^T B, double)");
-  table.set_header({"n", "arena (s)", "malloc (s)", "malloc/arena", "ws high-water", "ws bound",
-                    "bound/n^2"});
+  table.set_header({"n", "arena (s)", "malloc (s)", "malloc/arena", "interval", "ws high-water",
+                    "ws bound", "bound/n^2"});
 
   for (index_t base : {256, 384, 512, 768, 1024}) {
     const index_t n = bench::scaled(base, scale);
@@ -42,23 +41,19 @@ int main(int argc, char** argv) {
 
     const index_t bound = strassen_workspace_bound(n, n, n, recurse, sizeof(double));
     Arena<double> arena(static_cast<std::size_t>(bound));
-    const double t_arena = min_time_of(
+    const bench::Paired p = bench::time_pair(
         [&] {
           fill_view(c.view(), 0.0);
           strassen_tn(1.0, a.const_view(), b.const_view(), c.view(), arena, recurse);
         },
-        reps);
-    const std::size_t high_water = arena.high_water();
-
-    const double t_malloc = min_time_of(
         [&] {
           fill_view(c.view(), 0.0);
           naive_strassen_tn(1.0, a.const_view(), b.const_view(), c.view(), recurse);
-        },
-        reps);
+        });
 
-    table.add_row({std::to_string(n), Table::num(t_arena), Table::num(t_malloc),
-                   Table::num(t_malloc / t_arena, 3), std::to_string(high_water),
+    table.add_row({std::to_string(n), Table::num(p.a), Table::num(p.b), Table::num(p.median, 3),
+                   bench::interval_cell(p),
+                   std::to_string(arena.high_water()),
                    std::to_string(bound),
                    Table::num(static_cast<double>(bound) / (static_cast<double>(n) * n), 3)});
   }

@@ -8,6 +8,7 @@
 
 #include <sched.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -25,7 +26,8 @@
 
 namespace atalib::bench {
 
-/// Shortest wall time of one sample (one JSON rate) tools/perf_gate.py gates.
+/// Shortest wall time of one sample: one JSON rate tools/perf_gate.py gates,
+/// or one side of one pair of a paired comparison.
 inline constexpr double kMinSampleSeconds = 0.25;
 
 struct Sample {
@@ -46,10 +48,81 @@ Sample timed_sample(Pass&& pass) {
   return s;
 }
 
+/// Wall seconds per call of `call`, over one timed_sample.
+template <typename Call>
+double seconds_per_call(Call&& call) {
+  const Sample s = timed_sample(call);
+  return s.seconds / s.passes;
+}
+
+/// Pairs per paired comparison. As in tools/perf_gate.py, the 3rd smallest
+/// to the 3rd largest of the 10 sorted ratios span the median's sign-test
+/// interval; each end errs with probability 56/1024 (5.5%).
+inline constexpr int kPairs = 10;
+inline constexpr int kIntervalRank = 2;
+
+/// A comparison of two sides over kPairs pairs of samples.
+struct Paired {
+  std::vector<double> ratios;  // per pair, in run order: B's sample / A's
+  double median = 0;           // of the ratios
+  double lo = 0, hi = 0;       // the median's sign-test interval
+  double a = 0, b = 0;         // median sample of each side
+};
+
+inline double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t h = v.size() / 2;
+  return v.size() % 2 ? v[h] : 0.5 * (v[h - 1] + v[h]);
+}
+
+/// Runs `sample_a()` and `sample_b()` (each returns one measurement, such as
+/// seconds per call) in kPairs ABBA pairs: pair 0 samples A first, pair 1 B
+/// first, and so on. A stall or a burst of CPU steal then hits both sides of
+/// a pair alike, and the pair's ratio cancels it (Kalibera and Jones,
+/// "Rigorous Benchmarking in Reasonable Time", ISMM 2013).
+template <typename SampleA, typename SampleB>
+Paired paired(SampleA&& sample_a, SampleB&& sample_b) {
+  Paired p;
+  std::vector<double> as, bs;
+  for (int i = 0; i < kPairs; ++i) {
+    double a, b;
+    if (i % 2 == 0) {
+      a = sample_a();
+      b = sample_b();
+    } else {
+      b = sample_b();
+      a = sample_a();
+    }
+    as.push_back(a);
+    bs.push_back(b);
+    p.ratios.push_back(b / a);
+  }
+  std::vector<double> sorted = p.ratios;
+  std::sort(sorted.begin(), sorted.end());
+  p.median = median_of(sorted);
+  p.lo = sorted[kIntervalRank];
+  p.hi = sorted[kPairs - 1 - kIntervalRank];
+  p.a = median_of(as);
+  p.b = median_of(bs);
+  return p;
+}
+
+/// Times calls A and B in ABBA pairs of timed_samples. The ratio is B's
+/// seconds per call over A's, so it is above 1 when A is faster.
+template <typename CallA, typename CallB>
+Paired time_pair(CallA&& call_a, CallB&& call_b) {
+  return paired([&] { return seconds_per_call(call_a); },
+                [&] { return seconds_per_call(call_b); });
+}
+
+/// A comparison's interval as a table cell.
+inline std::string interval_cell(const Paired& p) {
+  return Table::num(p.lo, 3) + "-" + Table::num(p.hi, 3);
+}
+
 /// Standard flags shared by every bench binary.
 inline void add_common_flags(CliFlags& flags) {
   flags.add_double("scale", 1.0, "size multiplier vs the built-in laptop defaults");
-  flags.add_int("reps", 2, "timing repetitions (min is reported)");
   flags.add_int("base-elements", 0, "AtA/Strassen base-case threshold (0 = probe cache)");
   flags.add_string("json", "", "also write results as a JSON array to this path (\"\" = off)");
 }
@@ -94,6 +167,13 @@ class JsonWriter {
       }
       quoted += '"';
       return raw(key, quoted);
+    }
+    /// A paired comparison: its pair count, median ratio and interval.
+    Record& paired(const Paired& p) {
+      return num("pairs", static_cast<int>(p.ratios.size()))
+          .num("ratio", p.median)
+          .num("ratio_lo", p.lo)
+          .num("ratio_hi", p.hi);
     }
 
    private:
@@ -174,7 +254,7 @@ inline index_t scaled(index_t base, double scale) {
   return std::max<index_t>(v, 16);
 }
 
-/// A labeled experiment header, mirrored in EXPERIMENTS.md.
+/// A labeled experiment header.
 inline void print_banner(const std::string& what, const std::string& paper_ref) {
   std::printf("==============================================================\n");
   std::printf("%s\n", what.c_str());

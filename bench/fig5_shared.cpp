@@ -23,18 +23,15 @@ namespace {
 
 using namespace atalib;
 
-void run_shape(const char* label, index_t m, index_t n, int reps,
-               const RecurseOptions& recurse) {
+void run_shape(const char* label, index_t m, index_t n, const RecurseOptions& recurse) {
   const auto a = random_uniform<float>(m, n, 500);
   auto c = Matrix<float>::zeros(n, n);
 
   // Serial baseline time once per shape.
-  const double t_syrk_serial = min_time_of(
-      [&] {
-        fill_view(c.view(), 0.0f);
-        blas::syrk_ln(1.0f, a.const_view(), c.view());
-      },
-      reps);
+  const double t_syrk_serial = bench::seconds_per_call([&] {
+    fill_view(c.view(), 0.0f);
+    blas::syrk_ln(1.0f, a.const_view(), c.view());
+  });
 
   Table table(std::string("Fig. 5 ") + label + ": AtA-S vs parallel ssyrk (r = 1)");
   table.set_header({"P", "AtA-S crit (s)", "ssyrk crit (s)", "AtA-S EG", "ssyrk EG",
@@ -45,12 +42,12 @@ void run_shape(const char* label, index_t m, index_t n, int reps,
     opts.threads = p;
     opts.recurse = recurse;
     opts.engine = LeafEngine::kStrassen;  // the paper's AtA-S leaves
-    double crit = 1e300;
-    for (int r = 0; r < reps; ++r) {
+    double crit = 1e300;  // the shortest over one sample's profiles
+    bench::timed_sample([&] {
       fill_view(c.view(), 0.0f);
       const auto profile = ata_shared_profile(1.0f, a.const_view(), c.view(), opts);
       crit = std::min(crit, profile.critical_path_seconds);
-    }
+    });
     const double t_syrk = t_syrk_serial / p;
 
     table.add_row({std::to_string(p), Table::num(crit, 4), Table::num(t_syrk, 4),
@@ -69,17 +66,16 @@ int main(int argc, char** argv) {
   bench::add_common_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
   const double scale = flags.get_double("scale");
-  const int reps = static_cast<int>(flags.get_int("reps"));
   const RecurseOptions recurse = bench::recurse_from_flags(flags);
 
   bench::print_banner("Shared-memory AtA-S vs parallel ssyrk (single precision)",
                       "Figure 5 (a)-(f)");
 
   // Paper shapes 30Kx30K, 40Kx40K, 60Kx5K, scaled ~1/32 by default.
-  run_shape("(a,b) square", bench::scaled(960, scale), bench::scaled(960, scale), reps, recurse);
-  run_shape("(c,d) square larger", bench::scaled(1280, scale), bench::scaled(1280, scale), reps,
+  run_shape("(a,b) square", bench::scaled(960, scale), bench::scaled(960, scale), recurse);
+  run_shape("(c,d) square larger", bench::scaled(1280, scale), bench::scaled(1280, scale),
             recurse);
-  run_shape("(e,f) tall", bench::scaled(1920, scale), bench::scaled(160, scale), reps, recurse);
+  run_shape("(e,f) tall", bench::scaled(1920, scale), bench::scaled(160, scale), recurse);
 
   std::printf("shape check: AtA-S critical path drops ~4x at each complete parallel level\n"
               "and plateaus inside one (eq. (8) staircase); ssyrk falls smoothly as 1/P.\n"

@@ -16,18 +16,13 @@
 // requests repeats until that much time has passed (`seconds`). The warm
 // rate is the median round (one request per shape) of 3 s of passes.
 //
-// Two further phases exercise PR 8's batched small-Gram serving
+// A further phase exercises PR 8's batched small-Gram serving
 // (DESIGN.md §8):
-//   batched     — submit_batch over a sweep of small shapes (m = 8n),
-//                 f32 and f64, batch sizes 1/16/256; the warm batched
-//                 stream must show ZERO schedule builds, ZERO workspace
-//                 slab allocations, ZERO thread-local pack allocations and
-//                 ZERO plan-cache misses (hard-checked; nonzero exit).
-//   tall_skinny — one m >> n shape served by the forced kBlas plan vs
-//                 the forced recursive (kStrassen) plan. The shape never
-//                 shrinks below 16384 x 64, so the recursive plan's largest
-//                 leaf is over the Strassen cut-off and really recurses;
-//                 each row records whether it does (largest_leaf_recurses).
+//   batched — submit_batch over a sweep of small shapes (m = 8n), f32 and
+//             f64, batch sizes 1/16/256; the warm batched stream must show
+//             ZERO schedule builds, ZERO workspace slab allocations, ZERO
+//             thread-local pack allocations and ZERO plan-cache misses
+//             (hard-checked; nonzero exit).
 //
 // A final phase exercises PR 10's overload control (DESIGN.md §10):
 //   overload — clients = 4x the pool slots against a bounded-admission
@@ -43,7 +38,6 @@
 #include <cstdio>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "api/batch.hpp"
@@ -56,7 +50,6 @@
 #include "matrix/matrix.hpp"
 #include "sched/dist_tree.hpp"
 #include "sched/shared_schedule.hpp"
-#include "strassen/workspace.hpp"
 
 namespace {
 
@@ -74,26 +67,6 @@ std::size_t pool_slab_grows(runtime::ThreadPool& pool) {
   std::size_t total = 0;
   for (int s = 0; s < pool.concurrency(); ++s) total += pool.workspace(s).grow_count();
   return total;
-}
-
-/// True if the plan's largest leaf (by flops) recurses instead of handing
-/// its whole block to one base-case kernel: a kStrassen leaf over the key's
-/// cut-off (Algorithms 1 and 2, line 2). kBlas leaves never recurse.
-bool largest_leaf_recurses(const api::AtaPlan& plan) {
-  const api::PlanKey& key = plan.key();
-  if (key.engine != LeafEngine::kStrassen) return false;
-  const sched::LeafOp* largest = nullptr;
-  for (const auto& task : plan.schedule().tasks) {
-    for (const auto& op : task.ops) {
-      if (largest == nullptr || op.flops() > largest->flops()) largest = &op;
-    }
-  }
-  if (largest == nullptr) return false;
-  const sched::Block& a = largest->a;
-  return largest->kind == sched::LeafOp::Kind::kSyrk
-             ? !ata_base_case(a.rows, a.cols, key.base_case_elements, key.min_dim)
-             : !gemm_base_case(a.rows, a.cols, largest->b.cols, key.base_case_elements,
-                               key.min_dim);
 }
 
 /// One batched-serving configuration: stream `nreq` requests of one shape
@@ -379,56 +352,7 @@ int main(int argc, char** argv) {
     btable.print();
   }
 
-  // --- Phase 5: tall-skinny shape — forced kBlas vs forced recursive on
-  // one m >> n shape. Scaled up but never down: at 4096 x 16 every leaf of
-  // the recursive plan is under the cut-off, and the A/B would time two
-  // plans that both run base-case kernels only.
-  {
-    const double ts_scale = std::max(scale, 1.0);
-    const Shape ts{bench::scaled(16384, ts_scale), bench::scaled(64, ts_scale)};
-    const auto a = random_uniform<double>(ts.m, ts.n, 7);
-    auto c = Matrix<double>::zeros(ts.n, ts.n);
-    const int reps = std::max(3, requests / 4);
-
-    Table ttable("Tall-skinny shape, m=" + std::to_string(ts.m) + " n=" +
-                 std::to_string(ts.n) + " f64");
-    ttable.set_header({"plan", "engine", "leaf recurses", "reps", "req/s", "mean ms/req"});
-
-    SharedOptions blas = sopts, recursive = sopts;
-    blas.engine = LeafEngine::kBlas;
-    recursive.engine = LeafEngine::kStrassen;
-    const std::pair<const char*, SharedOptions> plans[] = {{"forced_blas", blas},
-                                                           {"forced_recursive", recursive}};
-    api::Server tserver(api::Server::Options{threads, 16});
-    for (const auto& [label, opts] : plans) {
-      tserver.submit(1.0, a.const_view(), c.view(), opts).get();
-      const bench::Sample sample = bench::timed_sample([&] {
-        for (int r = 0; r < reps; ++r) tserver.submit(1.0, a.const_view(), c.view(), opts).get();
-      });
-      const double rps = static_cast<double>(reps) * sample.passes / sample.seconds;
-      const auto key = api::shared_plan_key(api::dtype_of<double>(), ts.m, ts.n, opts);
-      const char* engine = key.engine == LeafEngine::kBlas ? "blas" : "strassen";
-      const bool recurses = largest_leaf_recurses(*tserver.plans().get_or_build(key));
-      ttable.add_row({label, engine, recurses ? "yes" : "no", std::to_string(reps),
-                      Table::num(rps, 1), Table::num(1e3 / rps, 3)});
-      bench::JsonWriter::Record rec;
-      rec.str("phase", "tall_skinny")
-          .str("plan", label)
-          .str("engine", engine)
-          .num("largest_leaf_recurses", recurses ? 1 : 0)
-          .num("m", static_cast<std::uint64_t>(ts.m))
-          .num("n", static_cast<std::uint64_t>(ts.n))
-          .num("reps", reps)
-          .num("req_per_sec", rps)
-          .num("mean_ms", 1e3 / rps)
-          .num("seconds", sample.seconds)
-          .num("pool_threads", threads);
-      json.add(rec);
-    }
-    ttable.print();
-  }
-
-  // --- Phase 6: overload — bounded admission under 4x-oversubscribed
+  // --- Phase 5: overload — bounded admission under 4x-oversubscribed
   // clients, mixed priorities, tight deadlines. One row per policy.
   int overload_failures = 0;
   {

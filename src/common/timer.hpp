@@ -3,7 +3,6 @@
 
 #include <ctime>
 
-#include <algorithm>
 #include <chrono>
 
 namespace atalib {
@@ -46,19 +45,5 @@ class ThreadCpuTimer {
   }
   double start_;
 };
-
-/// Run `fn` `reps` times and return the *minimum* wall time in seconds.
-/// Minimum-of-reps is the standard noise-rejection estimator for
-/// compute-bound kernels (noise is strictly additive).
-template <typename Fn>
-double min_time_of(Fn&& fn, int reps) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    Timer t;
-    fn();
-    best = std::min(best, t.seconds());
-  }
-  return best;
-}
 
 }  // namespace atalib
